@@ -452,14 +452,67 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
     return True
 
 
-def _scan_bound(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point) -> int:
-    pre = [len(x.preamble), len(y.preamble), sys.prefix_len]
-    per = [len(x.period), len(y.period), sys.cycle_len]
+def _level_bounds(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point) -> tuple[int, int]:
+    """(data level, scan bound) of a level search on the pair (x, y).
+
+    The data level is the longest preamble among the system, x, y and the
+    points the function is built from; the scan bound adds twice the lcm
+    of all their periods.
+    """
+    pre, per = sys.prefix_len, sys.cycle_len
+    pts = [x, y]
     for ival, leaf in bf.pieces:
-        for pt in (ival.lo, ival.hi) + ((leaf.value,) if isinstance(leaf, Const) else ()):
-            pre.append(len(pt.preamble))
-            per.append(len(pt.period))
-    return max(pre) + 2 * lcm(*per)
+        pts += (ival.lo, ival.hi) + ((leaf.value,) if isinstance(leaf, Const) else ())
+    for pt in pts:
+        pre = max(pre, len(pt.preamble))
+        per = lcm(per, len(pt.period))
+    return pre, pre + 2 * per
+
+
+def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
+                 strictness: Strictness, depth_cap: Optional[int] = None) -> Verdict:
+    """Least level m >= merge_level(x, y) whose matched-tail cylinder passes.
+
+    x and y share digit m + 1, so the level m + 1 cylinder pairs are a
+    subset of the level m ones and a passing level stays passing deeper
+    down.  Levels up to the data level are scanned in order, where most
+    answers lie; beyond it the search gallops and then bisects, so a No
+    costs O(log lcm) checks rather than the 2 lcm of a scan to the bound.
+    The verdict is the one a scan of every level up to the bound (or up
+    to depth_cap, which then leaves it unknown) would give.
+    """
+    def passes(m: int) -> bool:
+        return cylinder_within_eta(sys, bf, prefix_digits(x, m), prefix_digits(y, m),
+                                   strictness)
+
+    start = merge_level(x, y)
+    if depth_cap is not None and depth_cap < start:
+        return verdict_unknown(depth_cap)
+    if passes(start):
+        return verdict_yes(start)
+    data, bound = _level_bounds(sys, bf, x, y)
+    bound = max(start, bound)
+    stop = bound if depth_cap is None else min(depth_cap, bound)
+    lo = start  # deepest level known to fail
+    for m in range(start + 1, min(data, stop) + 1):
+        if passes(m):
+            return verdict_yes(m)
+        lo = m
+    base, step = lo, 1
+    while lo < stop:
+        hi = min(base + step, stop)
+        if passes(hi):
+            break
+        lo, step = hi, 2 * step
+    else:
+        return verdict_unknown(stop) if stop < bound else VERDICT_NO
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return verdict_yes(hi)
 
 
 def sigma_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
@@ -467,10 +520,13 @@ def sigma_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     """Membership of the pair (x, y) in the open set carved out by bf.
 
     The pair belongs iff some matched-tail cylinder around it sits
-    entirely below the function.  The search over cylinder levels is
-    complete: beyond the preamble data everything repeats, so levels up
-    to the computed bound decide.  A depth cap below that bound can
-    leave the answer unknown.
+    entirely below the function.  The cylinder at level m + 1 is a
+    subset of the one at level m (x and y agree beyond merge_level), so
+    the test is monotone in m and the least passing level is searched
+    for rather than scanned to.  The search is complete: beyond the
+    preamble data everything repeats, so levels up to the computed
+    bound decide.  A depth cap below that bound can leave the answer
+    unknown.
     """
     if bf.mode is Mode.IDEAL:
         if not p_test(x, y):
@@ -478,15 +534,7 @@ def sigma_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     else:
         if not orbit_test(x, y):
             return VERDICT_NO
-    start = merge_level(x, y)
-    bound = max(start, _scan_bound(sys, bf, x, y))
-    stop = bound if depth_cap is None else min(depth_cap, bound)
-    for m in range(start, stop + 1):
-        if cylinder_within_eta(sys, bf, prefix_digits(x, m), prefix_digits(y, m)):
-            return verdict_yes(m)
-    if stop < bound:
-        return verdict_unknown(stop)
-    return VERDICT_NO
+    return _least_level(sys, bf, x, y, Strictness.NONSTRICT, depth_cap)
 
 
 def eta_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point) -> bool:
@@ -539,7 +587,9 @@ def modification_certificate(sys: RefinementSystem, bf: PiecewiseBF,
 
     Needs a gap below y, a gap above phi(y), and the raised linkage of
     (suc phi(y), y) through some matched-tail cylinder; a Yes comes
-    with the first witnessing cylinder.
+    with the first witnessing cylinder.  As in sigma_member, deeper
+    cylinders are subsets of shallower ones, so the raised linkage is
+    monotone in the level and the least witnessing level is searched for.
     """
     if not has_gap_below(sys, y):
         return VERDICT_NO, None
@@ -549,13 +599,11 @@ def modification_certificate(sys: RefinementSystem, bf: PiecewiseBF,
     target = suc(sys, fy)
     if not orbit_test(target, y):
         return VERDICT_NO, None
-    start = merge_level(target, y)
-    bound = max(start, _scan_bound(sys, bf, target, y))
-    for m in range(start, bound + 1):
-        u, v = prefix_digits(target, m), prefix_digits(y, m)
-        if cylinder_within_eta(sys, bf, u, v, Strictness.RAISED):
-            return verdict_yes(m), ModificationCertificate(y, u, v)
-    return VERDICT_NO, None
+    verdict = _least_level(sys, bf, target, y, Strictness.RAISED)
+    if not verdict.is_yes:
+        return verdict, None
+    m = verdict.level
+    return verdict, ModificationCertificate(y, prefix_digits(target, m), prefix_digits(y, m))
 
 
 def is_point_of_modification(sys: RefinementSystem, bf: PiecewiseBF, y: Point) -> bool:

@@ -6,6 +6,15 @@ gap pair to one value, so an extra dyadic term is added per gap to make
 the embedding strictly monotone.  All arithmetic is exact
 (fractions.Fraction); the only approximation is the explicitly
 requested enclosure width in b_approx.
+
+The gap terms have a closed form per level.  Gap points are enumerated
+level by level (word length L), and within a level in word order, so
+the gap points below x at level L are the first
+word_rank(x_1 .. x_{L-1}) * (k_L - 1) + (x_L - 1) of that level's block.
+If the block starts after index `offset`, they add the geometric run
+2^-offset - 2^-end with end = offset + that count, clipped at the
+enclosure depth D.  Only the levels whose block starts before index D
+contribute, and there are about log2(D) of them.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from .order import (
     Point,
     RefinementSystem,
     has_gap_above,
-    lt,
     max_tail_point,
     orbit_test,
     p_min,
@@ -103,22 +111,31 @@ def b_approx(sys: RefinementSystem, x: Point,
 
     The embedding adds 2^-n to btilde(x) for every enumerated gap point
     strictly below x.  The partial sum over the first D terms pins the
-    value to within 2^-D.  The minimum point is exact: nothing lies
-    below it, so its enclosure is [0, 0].
+    value to within 2^-D, where D is the least depth with 2^-D <= eps.
+    Per level L the sum is one geometric run (see the module docstring),
+    so the enclosure costs O(levels) integer operations, not D gap
+    points.  The minimum point is exact: nothing lies below it, so its
+    enclosure is [0, 0].
     """
     width = Fraction(eps)
     if width <= 0:
         raise ValueError("eps must be positive")
     if x == p_min(sys):
         return Fraction(0), Fraction(0)
-    depth = 0
-    while Fraction(1, 2 ** depth) > width:
-        depth += 1
-    partial = btilde(sys, x)
-    for n in range(1, depth + 1):
-        if lt(gap_point(sys, n), x):
-            partial += Fraction(1, 2 ** n)
-    return partial, partial + Fraction(1, 2 ** depth)
+    # least D with 2^D >= 1/width, i.e. 2^D >= ceil(1/width)
+    depth = (-(-width.denominator // width.numerator) - 1).bit_length()
+    # gap terms in units of 2^-D: level L adds 2^(D-offset) - 2^(D-end)
+    gaps = 0
+    offset, level, head_rank = 0, 1, 0
+    while offset < depth:
+        k, d = sys.k_at(level), x.digit(level)
+        end = min(offset + head_rank * (k - 1) + d - 1, depth)
+        gaps += (1 << (depth - offset)) - (1 << (depth - end))
+        offset += gap_count_at_level(sys, level)
+        head_rank = head_rank * k + d - 1
+        level += 1
+    partial = btilde(sys, x) + Fraction(gaps, 1 << depth)
+    return partial, partial + Fraction(1, 1 << depth)
 
 
 def order_by_cocycle(sys: RefinementSystem, x: Point, y: Point) -> int:
@@ -126,7 +143,9 @@ def order_by_cocycle(sys: RefinementSystem, x: Point, y: Point) -> int:
 
     Shrinks the enclosures until they separate; terminates because the
     embedding is strictly monotone (gap pairs are pushed apart by
-    exactly 2^-n, everything else already differs in btilde).
+    exactly 2^-n, everything else already differs in btilde).  Squaring
+    the width each round separates a gap pair at index n after about
+    log2(n) rounds.
     """
     if x == y:
         return 0
@@ -138,4 +157,4 @@ def order_by_cocycle(sys: RefinementSystem, x: Point, y: Point) -> int:
             return -1
         if yhi < xlo:
             return 1
-        eps /= 2
+        eps *= eps

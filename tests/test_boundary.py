@@ -1,5 +1,10 @@
+import random
+from collections import Counter
+from math import lcm
+
 import pytest
 
+from refbound import boundary
 from refbound.boundary import (
     ID,
     ID_MINUS,
@@ -8,6 +13,7 @@ from refbound.boundary import (
     Mode,
     PiecewiseBF,
     Strictness,
+    Verdict,
     bf_between,
     bf_eq,
     bf_equiv,
@@ -26,18 +32,29 @@ from refbound.boundary import (
     level_set_max,
     make_bf,
     minus_point,
+    modification_certificate,
     normalize_bf,
     pointwise_le,
     sigma_member,
     validate_bf,
 )
+from refbound.cocycle import gap_point
+from refbound.irreducibility import construct_family
+from refbound.oracle import _random_linked_pair, random_bf, sample_points
 from refbound.order import (
     RefinementSystem,
+    has_gap_above,
+    has_gap_below,
     interval,
+    merge_level,
+    orbit_test,
     p_max,
     p_min,
+    p_test,
     parse_point,
+    parse_system,
     pred,
+    prefix_digits,
     suc,
 )
 
@@ -356,3 +373,96 @@ class TestModuleMode:
         assert "Property2a" not in {v.code for v in mod}
         ideal = validate_bf(BIN, PiecewiseBF(raw_pieces, Mode.IDEAL))
         assert "Property2a" in {v.code for v in ideal}
+
+
+# ---------------------------------------------------------------------------
+# the level search against a scan of every level
+
+SEARCH_SYSTEMS = [parse_system(t) for t in (";2", ";2,3", "3;2", ";11", "2;2,2,3")]
+
+
+def _scan_levels(sys, bf, x, y, strictness, depth_cap=None):
+    """Reference: test each level from merge_level up to the bound in turn.
+
+    Returns the verdict and the data level (the longest preamble among
+    the system, x, y and the function's points).
+    """
+    pts = [x, y]
+    for ival, leaf in bf.pieces:
+        pts += [ival.lo, ival.hi] + ([leaf.value] if isinstance(leaf, Const) else [])
+    data = max([sys.prefix_len] + [len(p.preamble) for p in pts])
+    period = lcm(sys.cycle_len, *(len(p.period) for p in pts))
+    start = merge_level(x, y)
+    bound = max(start, data + 2 * period)
+    stop = bound if depth_cap is None else min(depth_cap, bound)
+    for m in range(start, stop + 1):
+        if cylinder_within_eta(sys, bf, prefix_digits(x, m), prefix_digits(y, m), strictness):
+            return Verdict("yes", m), data
+    return (Verdict("unknown", stop) if stop < bound else Verdict("no")), data
+
+
+def _search_cases(sys, seed):
+    rng = random.Random(seed)
+    f = random_bf(sys, rng)
+    pool = sample_points(sys, seed, 6, 5, 3)
+    pairs = [(x, y) for x in pool for y in pool if p_test(x, y)]
+    pairs += [_random_linked_pair(sys, rng) for _ in range(6)]
+    return f, pool, pairs
+
+
+class TestLevelSearch:
+    def test_sigma_member_matches_level_scan(self):
+        seen = Counter()
+        for sys in SEARCH_SYSTEMS:
+            for seed in range(14, 22):
+                f, _, pairs = _search_cases(sys, seed)
+                for x, y in pairs:
+                    start = merge_level(x, y)
+                    for cap in (None, 0, 2, 5, start - 1):
+                        want, data = _scan_levels(sys, f, x, y, Strictness.NONSTRICT, cap)
+                        assert sigma_member(sys, f, x, y, depth_cap=cap) == want
+                        deep = want.is_yes and want.level > max(start, data)
+                        seen["deep yes" if deep else want.kind] += 1
+        # every branch of the search is exercised, the bisection included
+        assert all(seen[k] > 0 for k in ("yes", "deep yes", "no", "unknown"))
+
+    def test_modification_certificate_matches_level_scan(self):
+        yes = 0
+        for sys in SEARCH_SYSTEMS:
+            for seed in range(14, 22):
+                f, pool, _ = _search_cases(sys, seed)
+                for y in pool + [suc(sys, gap_point(sys, n)) for n in range(1, 7)]:
+                    got, cert = modification_certificate(sys, f, y)
+                    fy = eval_bf(sys, f, y)
+                    if not has_gap_below(sys, y) or not has_gap_above(sys, fy):
+                        assert got.is_no and cert is None
+                        continue
+                    target = suc(sys, fy)
+                    if not orbit_test(target, y):
+                        assert got.is_no and cert is None
+                        continue
+                    want, _ = _scan_levels(sys, f, target, y, Strictness.RAISED)
+                    assert got == want
+                    if want.is_yes:
+                        yes += 1
+                        m = want.level
+                        assert (cert.y, cert.u, cert.v) == (
+                            y, prefix_digits(target, m), prefix_digits(y, m))
+                    else:
+                        assert cert is None
+        assert yes > 0
+
+    def test_coprime_plateau_needs_few_checks(self, monkeypatch):
+        # periods 7, 11 and 13 put the scan bound at 2 + 2 * 1001 levels
+        f = construct_family(BIN, "phi_ab", a=pt("1|1111112"), b=pt("2|12111111112"))
+        x = pt("21|1211111111112")
+        calls = []
+        real = boundary.cylinder_within_eta
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(boundary, "cylinder_within_eta", counted)
+        assert sigma_member(BIN, f, x, x).is_no
+        assert len(calls) <= 40

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from refbound import cocycle
 from refbound.cocycle import (
     b_approx,
     btilde,
@@ -11,6 +13,7 @@ from refbound.cocycle import (
     gap_point,
     order_by_cocycle,
 )
+from refbound.oracle import sample_points
 from refbound.order import (
     RefinementSystem,
     has_gap_above,
@@ -22,6 +25,7 @@ from refbound.order import (
     p_max,
     p_min,
     parse_point,
+    parse_system,
     suc,
 )
 
@@ -154,3 +158,48 @@ class TestOrderByCocycle:
         for a in pts:
             for b in pts:
                 assert order_by_cocycle(K23, a, b) == order_compare(a, b)
+
+
+def _b_approx_by_gap_points(sys, x, eps):
+    """Reference: the partial sum over the first D gap points, term by term."""
+    if x == p_min(sys):
+        return Fraction(0), Fraction(0)
+    depth = 0
+    while Fraction(1, 2 ** depth) > Fraction(eps):
+        depth += 1
+    lo = btilde(sys, x)
+    for n in range(1, depth + 1):
+        if lt(gap_point(sys, n), x):
+            lo += Fraction(1, 2 ** n)
+    return lo, lo + Fraction(1, 2 ** depth)
+
+
+class TestClosedForm:
+    def test_b_approx_matches_gap_point_sum(self):
+        rng = random.Random(0)
+        for lit in (";2", ";2,3", "3;2", ";11", "2;2,2,3"):
+            sys = parse_system(lit)
+            xs = sample_points(sys, 3, 10, 5, 3)
+            for n in (1, 5, 17, 40):
+                xs += [gap_point(sys, n), suc(sys, gap_point(sys, n))]
+            for x in xs:
+                widths = (Fraction(1, rng.randrange(1, 600)),
+                          Fraction(rng.randrange(1, 9), rng.randrange(1, 600)), 3, 0.1)
+                for eps in widths:
+                    assert b_approx(sys, x, eps) == _b_approx_by_gap_points(sys, x, eps)
+
+    def test_deep_gap_pair_needs_few_enclosures(self, monkeypatch):
+        g = gap_point(BIN, 1024)  # the first gap point of level 11
+        s = suc(BIN, g)
+        calls = []
+        real = cocycle.b_approx
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cocycle, "b_approx", counted)
+        for x, y in ((g, s), (s, g)):
+            calls.clear()
+            assert order_by_cocycle(BIN, x, y) == order_compare(x, y)
+            assert len(calls) <= 30

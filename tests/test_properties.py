@@ -7,6 +7,7 @@ construction.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,11 +165,15 @@ def test_gap_point_indexing_inverts(lit, n):
 @given(sys_lits, seeds, st.integers(1, 4))
 def test_b_approx_brackets_and_narrows(lit, seed, depth):
     s = SYSTEMS[lit]
+    wide, narrow = Fraction(1, 2 ** depth), Fraction(1, 2 ** (depth + 2))
     for x in pts(lit, seed, 4):
-        lo1, hi1 = b_approx(s, x, depth)
-        lo2, hi2 = b_approx(s, x, depth + 2)
-        b = btilde(s, x)
-        assert lo1 <= lo2 <= b <= hi2 <= hi1
+        lo1, hi1 = b_approx(s, x, wide)
+        lo2, hi2 = b_approx(s, x, narrow)
+        assert btilde(s, x) <= lo1 <= lo2 <= hi2 <= hi1
+        # the minimum point's enclosure is exact
+        exact = x == p_min(s)
+        assert hi1 - lo1 == (0 if exact else wide)
+        assert hi2 - lo2 == (0 if exact else narrow)
 
 
 @settings(max_examples=40, deadline=None)
