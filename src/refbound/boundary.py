@@ -129,8 +129,9 @@ def leaf_inf(sys: RefinementSystem, ival: OrderInterval, leaf: Leaf) -> tuple[Po
 class PiecewiseBF:
     """Piecewise boundary function.
 
-    Equality of these objects is extensional and needs the system, so
-    dataclass equality is disabled; compare through bf_eq.
+    Many piece lists spell one function; normalize_bf picks the
+    canonical one, and bf_eq compares canonical pieces.  Dataclass
+    equality, which would compare spellings, is disabled.
     """
 
     pieces: tuple[Piece, ...]
@@ -218,81 +219,94 @@ def _partition_violations(sys: RefinementSystem, pieces: Sequence[Piece]) -> lis
 # normalization
 
 
-_NORMALIZE_ROUNDS = 64
-
-
 def normalize_bf(sys: RefinementSystem, bf: PiecewiseBF) -> PiecewiseBF:
-    """Deterministic normal form: canonical interval flags, no left-limit
-    leaf on one- or two-point pieces, no mergeable neighbors.
+    """Canonical form: the one spelling of the function's values.
 
-    Does not fully collapse every extensionally equal pair of
-    representations; bf_eq decides that instead.
+    Intervals carry canonical flags, one- and two-point pieces carry an
+    identity or constant leaf, neighbors differ in leaf, and no small
+    piece is computed in full by a neighbor's leaf.  A point that two
+    neighbors both compute goes left when it has a gap above, else to
+    the leaf ranked first among constant, identity, left limit.  On an
+    infinite interval the values fix the leaf, so extensionally equal
+    functions normalize to equal pieces.  One left-to-right sweep:
+    small pieces are split into points, then each piece settles
+    against the top of a stack.  The pieces must partition the points
+    in order (the Partition law of validate_bf).
     """
-    pieces = [(interval(sys, i.lo, i.hi, i.lo_open, i.hi_open), lf) for i, lf in bf.pieces]
-    for _ in range(_NORMALIZE_ROUNDS):
-        changed = False
+    out: list[tuple[OrderInterval, Leaf, Optional[list[Point]]]] = []
+    for ival, leaf in bf.pieces:
+        ival = interval(sys, ival.lo, ival.hi, ival.lo_open, ival.hi_open)
+        pts = interval_small_points(sys, ival)
+        if pts is None:
+            _settle(sys, out, ival, leaf, None)
+            continue
+        for y in pts:
+            val = leaf_value(sys, leaf, y)
+            _settle(sys, out, OrderInterval(y, y), ID if val == y else Const(val), [y])
+    return PiecewiseBF(tuple((ival, leaf) for ival, leaf, _ in out), bf.mode)
 
-        out: list[Piece] = []
-        for ival, leaf in pieces:
-            pts = interval_small_points(sys, ival)
-            if pts is not None and len(pts) == 2 and isinstance(leaf, IdentityMinus):
-                out.append((interval(sys, pts[0], pts[0]), leaf))
-                out.append((interval(sys, pts[1], pts[1]), leaf))
-                changed = True
-            else:
-                out.append((ival, leaf))
-        pieces = out
 
-        out = []
-        for ival, leaf in pieces:
-            if ival.lo == ival.hi:
-                y = ival.lo
-                val = leaf_value(sys, leaf, y)
-                canon: Leaf = ID if val == y else Const(val)
-                if canon != leaf:
-                    leaf, changed = canon, True
-            out.append((ival, leaf))
-        pieces = out
+_LEAF_RANK = {Const: 0, Identity: 1, IdentityMinus: 2}
 
-        # absorb singleton pieces into a neighbor computing the same value
-        out = []
-        i = 0
-        while i < len(pieces):
-            ival, leaf = pieces[i]
-            if ival.lo == ival.hi:
-                y = ival.lo
-                val = leaf_value(sys, leaf, y)
-                if out and _adjacent(sys, out[-1][0], ival) \
-                        and leaf_value(sys, out[-1][1], y) == val:
-                    prev_i, prev_leaf = out.pop()
-                    out.append((interval(sys, prev_i.lo, y, prev_i.lo_open, False), prev_leaf))
-                    changed = True
-                    i += 1
-                    continue
-                if i + 1 < len(pieces):
-                    nxt_i, nxt_leaf = pieces[i + 1]
-                    if _adjacent(sys, ival, nxt_i) and leaf_value(sys, nxt_leaf, y) == val:
-                        out.append((interval(sys, y, nxt_i.hi, False, nxt_i.hi_open), nxt_leaf))
-                        changed = True
-                        i += 2
-                        continue
-            out.append((ival, leaf))
-            i += 1
-        pieces = out
 
-        out = []
-        for ival, leaf in pieces:
-            if out and out[-1][1] == leaf and _adjacent(sys, out[-1][0], ival):
-                prev_i, _ = out.pop()
-                out.append((interval(sys, prev_i.lo, ival.hi, prev_i.lo_open, ival.hi_open), leaf))
-                changed = True
-            else:
-                out.append((ival, leaf))
-        pieces = out
+def _covers(sys: RefinementSystem, leaf: Leaf, pts: Optional[list[Point]],
+            own: Leaf) -> bool:
+    """Does leaf give own's values on all of a one- or two-point piece?"""
+    return pts is not None and all(
+        leaf_value(sys, leaf, y) == leaf_value(sys, own, y) for y in pts)
 
-        if not changed:
-            return PiecewiseBF(tuple(pieces), bf.mode)
-    raise RefinementError("normalization did not stabilize")
+
+def _settle(sys: RefinementSystem, out: list, ival: OrderInterval, leaf: Leaf,
+            pts: Optional[list[Point]]) -> None:
+    """Push a piece onto the normalized stack, merging or trading points with its top.
+
+    Stack entries carry the piece's points when it has at most two (pts);
+    the pieces come in order, each starting where the last one ends.
+    """
+    while out:
+        top, top_leaf, top_pts = out[-1]
+        joined = OrderInterval(top.lo, ival.hi, top.lo_open, ival.hi_open)
+        both = None if top_pts is None or pts is None else top_pts + pts
+        if top_leaf == leaf or _covers(sys, top_leaf, pts, leaf):
+            out[-1] = (joined, top_leaf, both)
+            return
+        if not _covers(sys, leaf, top_pts, top_leaf):
+            new_top, new_ival = _border(sys, top, top_leaf, ival, leaf)
+            if new_top is not top:
+                out[-1] = (new_top, top_leaf, interval_small_points(sys, new_top))
+                ival, pts = new_ival, interval_small_points(sys, new_ival)
+            break
+        out.pop()
+        ival, pts = joined, both
+    out.append((ival, leaf, pts))
+
+
+def _border(sys: RefinementSystem, li: OrderInterval, ll: Leaf,
+            ri: OrderInterval, rl: Leaf) -> tuple[OrderInterval, OrderInterval]:
+    """Hand the points both leaves compute at a border to the side the rule picks.
+
+    Those points are at most one gap pair.  Its lower point (the one with
+    a gap above) stays left; any other goes to the leaf of lower rank.
+    Returns the two intervals, the same objects when nothing moves.
+    """
+    left_wins = _LEAF_RANK[type(ll)] < _LEAF_RANK[type(rl)]
+
+    def to_left(y: Point) -> Optional[bool]:
+        if leaf_value(sys, ll, y) != leaf_value(sys, rl, y):
+            return None
+        return left_wins or has_gap_above(sys, y)
+
+    if not li.hi_open and to_left(li.hi) is False:
+        y = li.hi
+        return (interval(sys, li.lo, y, li.lo_open, True),
+                interval(sys, y, ri.hi, False, ri.hi_open))
+    last, y = None, None if ri.lo_open else ri.lo
+    while y is not None and to_left(y):
+        last, y = y, (suc(sys, y) if has_gap_above(sys, y) else None)
+    if last is None:
+        return li, ri
+    return (interval(sys, li.lo, last, li.lo_open, False),
+            interval(sys, last, ri.hi, True, ri.hi_open))
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +341,13 @@ def overlay(sys: RefinementSystem, f: PiecewiseBF,
     return cells
 
 
-def _cell_equal(sys: RefinementSystem, cell: OrderInterval, lf: Leaf, lg: Leaf) -> bool:
-    if type(lf) is type(lg):
-        if isinstance(lf, Const):
-            return lf.value == lg.value
-        return True
-    pts = interval_small_points(sys, cell)
-    if pts is None:
-        return False
-    return all(leaf_value(sys, lf, y) == leaf_value(sys, lg, y) for y in pts)
-
-
 def bf_eq(sys: RefinementSystem, f: PiecewiseBF, g: PiecewiseBF) -> bool:
-    """Extensional equality: the same value at every point."""
-    return all(_cell_equal(sys, cell, lf, lg) for cell, lf, lg in overlay(sys, f, g))
+    """Extensional equality: the same mode and the same value at every point.
+
+    The normal form is canonical, so this compares normalized pieces.
+    """
+    return f.mode is g.mode and \
+        normalize_bf(sys, f).pieces == normalize_bf(sys, g).pieces
 
 
 def _cell_le(sys: RefinementSystem, cell: OrderInterval, lf: Leaf, lg: Leaf) -> bool:
@@ -822,8 +829,8 @@ def _format_leaf(sys: RefinementSystem, leaf: Leaf) -> str:
 def format_bf(sys: RefinementSystem, bf: PiecewiseBF) -> str:
     """Literal form: `[lo, hi] -> leaf` pieces joined by `;`.
 
-    The normalized pieces are printed so that parse_bf(format_bf(f))
-    is extensionally equal to f.
+    The normal form is printed, so parse_bf(format_bf(f)) has the
+    same pieces as normalize_bf(f).
     """
     bf = normalize_bf(sys, bf)
     bits = []
@@ -933,15 +940,6 @@ def _lattice(sys: RefinementSystem, f: PiecewiseBF, g: PiecewiseBF,
 def bf_join(sys: RefinementSystem, f: PiecewiseBF, g: PiecewiseBF) -> PiecewiseBF:
     """Pointwise maximum; stays inside the class."""
     return _lattice(sys, f, g, join=True)
-
-
-def bf_lattice(op: str, sys: RefinementSystem, f: PiecewiseBF,
-               g: PiecewiseBF) -> PiecewiseBF:
-    if op == "join":
-        return bf_join(sys, f, g)
-    if op == "meet":
-        return bf_meet(sys, f, g)
-    raise ValueError(f"unknown lattice op: {op!r}")
 
 
 def bf_meet(sys: RefinementSystem, f: PiecewiseBF, g: PiecewiseBF) -> PiecewiseBF:

@@ -5,7 +5,8 @@ Four subcommands share one flag set (--system, --seed, --budget,
 
     refbound run PATH              execute a scenario file
     refbound fixture NAME [--run]  print (or run) a built-in scenario
-    refbound suite NAME|all        run property suites directly
+    refbound suite NAME|all        run property suites directly (--system
+                                   may repeat; reports come out in order)
     refbound paper-examples GROUP  run a fixture group
 
 Exit codes: 0 all assertions held, 1 an assertion or suite failed,
@@ -32,9 +33,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "limit systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, systems=False):
         p.add_argument("--system", metavar="LITERAL", default=None,
-                       help="system literal, e.g. ';2' or '2;3,2'")
+                       action="append" if systems else "store",
+                       help="system literal, e.g. ';2' or '2;3,2'"
+                            + ("; repeat for several systems" if systems else ""))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=1,
                        help="sampling multiplier for suites")
@@ -55,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run property suites")
     p_suite.add_argument("name", choices=list(SUITE_NAMES) + ["all"])
-    common(p_suite)
+    common(p_suite, systems=True)
 
     p_pe = sub.add_parser("paper-examples", help="run a fixture group")
     p_pe.add_argument("group", choices=sorted(FIXTURE_GROUPS))
@@ -109,15 +112,16 @@ def _cmd_fixture(args) -> int:
 def _cmd_suite(args) -> int:
     names = list(SUITE_NAMES) if args.name == "all" else [args.name]
     reports = []
-    for name in names:
-        rep = run_suite(name, args.system, args.seed, args.budget)
-        reports.append(rep)
-        status = "ok  " if rep.ok else "FAIL"
-        print(f"{status}  {rep.suite:<20} system={rep.system} "
-              f"samples={rep.samples} violations={len(rep.violations)}")
-        for v in rep.violations:
-            print(f"      #{v.index}: {v.description}"
-                  + (f"  [{v.witness}]" if v.witness else ""))
+    for system in args.system or [None]:
+        for name in names:
+            rep = run_suite(name, system, args.seed, args.budget)
+            reports.append(rep)
+            status = "ok  " if rep.ok else "FAIL"
+            print(f"{status}  {rep.suite:<20} system={rep.system} "
+                  f"samples={rep.samples} violations={len(rep.violations)}")
+            for v in rep.violations:
+                print(f"      #{v.index}: {v.description}"
+                      + (f"  [{v.witness}]" if v.witness else ""))
     bad = sum(1 for rep in reports if not rep.ok)
     print(f"{len(reports)} suites, {bad} failed")
     if args.json_path:

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .boundary import (
     Const,
     ID,
+    InvalidBoundaryFunctionError,
     Mode,
     PiecewiseBF,
     Strictness,
@@ -41,7 +42,6 @@ from .boundary import (
     minus_point,
     normalize_bf,
     sigma_member,
-    validate_bf,
     verdict_unknown,
     verdict_yes,
 )
@@ -525,25 +525,6 @@ def tailset_intersect(s: RefinementSystem, ts1: TailSet, ts2: TailSet) -> TailSe
     return tailset_union(s, tuple(out))
 
 
-def tailset_complement(s: RefinementSystem, ts: TailSet) -> TailSet:
-    if not ts:
-        return _ts_all(s)
-    ordered = sorted(ts, key=_lo_key(s))
-    out = []
-    cur_lo, cur_open = p_min(s), False
-    for iv in ordered:
-        try:
-            out.append(interval(s, cur_lo, iv.lo, cur_open, not iv.lo_open))
-        except EmptyIntervalError:
-            pass
-        cur_lo, cur_open = iv.hi, not iv.hi_open
-    try:
-        out.append(interval(s, cur_lo, p_max(s), cur_open, False))
-    except EmptyIntervalError:
-        pass
-    return tuple(out)
-
-
 def tailset_remove_point(s: RefinementSystem, ts: TailSet, w: Point) -> TailSet:
     out = []
     for iv in ts:
@@ -745,9 +726,10 @@ def _validate(sys, expr, mode, out: list[Violation]) -> None:
                 f"boundary function mode {expr.bf.mode.value} under "
                 f"{mode.value} expression"))
             return
-        nested = validate_bf(sys, normalize_bf(sys, expr.bf))
-        if nested:
-            codes = ", ".join(v.code for v in nested)
+        try:
+            make_bf(sys, expr.bf.pieces, mode)
+        except InvalidBoundaryFunctionError as err:
+            codes = ", ".join(v.code for v in err.violations)
             out.append(_constructor(f"invalid boundary function: {codes}"))
         return
     if isinstance(expr, (Union, Intersection)):

@@ -204,14 +204,6 @@ class BFForm:
     canonical: Optional[PiecewiseBF] = None
 
 
-def _const_starts_at(sys, piece_lo: Point, value: Point) -> bool:
-    # the constant stretch may be written from its value or from the
-    # successor of its value; both spell the same function
-    if piece_lo == value:
-        return True
-    return has_gap_above(sys, value) and suc(sys, value) == piece_lo
-
-
 def bf_form(sys: RefinementSystem, bf: PiecewiseBF) -> BFForm:
     phi = normalize_bf(sys, bf)
     pieces = phi.pieces
@@ -228,7 +220,7 @@ def bf_form(sys: RefinementSystem, bf: PiecewiseBF) -> BFForm:
     if shape in ("IC", "CI", "ICI"):
         ival, leaf = pieces[shape.index("C")]
         a = leaf.value
-        if le(a, ival.lo) and _const_starts_at(sys, ival.lo, a):
+        if ival.lo == plus_point(sys, a):
             return BFForm("phi_ab", (a, ival.hi), phi)
         return BFForm("general", (), phi)
     if shape == "CC":
@@ -240,8 +232,7 @@ def bf_form(sys: RefinementSystem, bf: PiecewiseBF) -> BFForm:
         (iv1, c1), (iv2, c2) = pieces[1], pieces[2]
         v1, v2 = c1.value, c2.value
         if (has_gap_above(sys, v1) and suc(sys, v1) == v2
-                and iv2.lo == iv2.hi
-                and _const_starts_at(sys, iv1.lo, v1)):
+                and iv2.lo == iv2.hi and iv1.lo == v2):
             return BFForm("psi_paab", (v1, v2, iv2.lo), phi)
         return BFForm("general", (), phi)
     return BFForm("general", (), phi)

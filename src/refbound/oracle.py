@@ -52,9 +52,6 @@ from .order import (
     word_rank,
 )
 from .boundary import (
-    Const,
-    Identity,
-    IdentityMinus,
     Mode,
     PiecewiseBF,
     bf_between,
@@ -66,6 +63,7 @@ from .boundary import (
     bf_plus,
     const_bf,
     eval_bf,
+    format_bf,
     identity_bf,
     normalize_bf,
     pointwise_le,
@@ -418,23 +416,6 @@ def fmt_units(units: MatrixUnitSet) -> str:
     return f"L{units.level}{{{body}}}"
 
 
-def describe_bf(sys: RefinementSystem, bf: PiecewiseBF) -> str:
-    bits = []
-    for ival, leaf in bf.pieces:
-        if isinstance(leaf, Identity):
-            name = "id"
-        elif isinstance(leaf, IdentityMinus):
-            name = "id-"
-        else:
-            name = f"const {format_point(sys, leaf.value)}"
-        left = "(" if ival.lo_open else "["
-        right = ")" if ival.hi_open else "]"
-        bits.append(f"{name} on {left}{format_point(sys, ival.lo)}, "
-                    f"{format_point(sys, ival.hi)}{right}")
-    tail = " (module)" if bf.mode is Mode.MODULE else ""
-    return "; ".join(bits) + tail
-
-
 def describe_expr(sys: RefinementSystem, expr) -> str:
     if isinstance(expr, Module):
         return f"module({describe_expr(sys, expr.inner)})"
@@ -454,9 +435,9 @@ def describe_expr(sys: RefinementSystem, expr) -> str:
     if isinstance(expr, FiniteLevel):
         return f"finite {fmt_units(expr.units)}"
     if isinstance(expr, OfBFOpen):
-        return f"open[{describe_bf(sys, expr.bf)}]"
+        return f"open[{format_bf(sys, expr.bf)}]"
     if isinstance(expr, OfBFClosed):
-        return f"hull[{describe_bf(sys, expr.bf)}]"
+        return f"hull[{format_bf(sys, expr.bf)}]"
     if isinstance(expr, Union):
         return "union(" + ", ".join(describe_expr(sys, p) for p in expr.parts) + ")"
     if isinstance(expr, Intersection):
@@ -616,15 +597,30 @@ def _suite_def_biconditions(sys, rng, budget, rec):
                       _wp(sys, x=x, lo=lo, hi=hi))
 
 
+def _end_points_and_gap_mates(sys, bf) -> list[Point]:
+    out = []
+    for ival, _ in bf.pieces:
+        for y in (ival.lo, ival.hi):
+            out.append(y)
+            if has_gap_above(sys, y):
+                out.append(suc(sys, y))
+            if has_gap_below(sys, y):
+                out.append(pred(sys, y))
+    return out
+
+
 def _suite_prop4_5(sys, rng, budget, rec):
     for _ in range(2 * budget):
         phi = random_bf(sys, rng)
-        wit = describe_bf(sys, phi)
+        wit = format_bf(sys, phi)
+        pts = _point_batch(sys, rng, 8)
         rec.check(not validate_bf(sys, phi),
                   "generated function must satisfy the laws", wit)
-        rec.check(bf_eq(sys, normalize_bf(sys, phi), phi),
+        norm = normalize_bf(sys, phi)
+        probes = pts + _end_points_and_gap_mates(sys, phi) \
+            + _end_points_and_gap_mates(sys, norm)
+        rec.check(all(eval_bf(sys, phi, y) == eval_bf(sys, norm, y) for y in probes),
                   "normalization must not move a valid function", wit)
-        pts = _point_batch(sys, rng, 8)
         for y in pts:
             v = eval_bf(sys, phi, y)
             rec.check(le(v, y), "order-mode values stay below the identity",
@@ -643,7 +639,7 @@ def _suite_prop4_5(sys, rng, budget, rec):
 def _suite_prop6(sys, rng, budget, rec):
     for _ in range(2 * budget):
         phi = random_bf(sys, rng)
-        wit = describe_bf(sys, phi)
+        wit = format_bf(sys, phi)
         rec.check(bf_eq(sys, boundary_of(sys, OfBFClosed(phi)),
                         normalize_bf(sys, phi)),
                   "the neighborhood hull keeps its function as boundary", wit)
@@ -689,7 +685,7 @@ def _suite_prop7(sys, rng, budget, rec):
 def _suite_lemma8(sys, rng, budget, rec):
     for _ in range(2 * budget):
         phi = random_bf(sys, rng)
-        wit = describe_bf(sys, phi)
+        wit = format_bf(sys, phi)
         low, high = bf_minus(sys, phi), bf_plus(sys, phi)
         rec.check(not validate_bf(sys, low),
                   "the left companion stays lawful", wit)
@@ -707,7 +703,7 @@ def _suite_lemma8(sys, rng, budget, rec):
 def _suite_prop9(sys, rng, budget, rec):
     for _ in range(2 * budget):
         phi = random_bf(sys, rng)
-        wit = describe_bf(sys, phi)
+        wit = format_bf(sys, phi)
         low, high = bf_minus(sys, phi), bf_plus(sys, phi)
         rec.check(bf_eq(sys, boundary_of(sys, OfBFOpen(phi)),
                         boundary_of(sys, OfBFOpen(low))),
@@ -727,7 +723,7 @@ def _suite_prop9(sys, rng, budget, rec):
 def _suite_lemma10(sys, rng, budget, rec):
     for _ in range(3 * budget):
         phi = random_bf(sys, rng)
-        wit = describe_bf(sys, phi)
+        wit = format_bf(sys, phi)
         low, high = bf_minus(sys, phi), bf_plus(sys, phi)
         rec.check(bf_eq(sys, bf_minus(sys, high), low),
                   "lowering after raising recovers the left companion", wit)
@@ -739,7 +735,7 @@ def _suite_prop11(sys, rng, budget, rec):
     for _ in range(2 * budget):
         f = random_bf(sys, rng)
         g = random_bf(sys, rng)
-        wit = describe_bf(sys, f) + " | " + describe_bf(sys, g)
+        wit = format_bf(sys, f) + " | " + format_bf(sys, g)
         rec.check(bf_equiv(sys, f, g) == bf_between(sys, f, g),
                   "equivalence and the companion bracket agree", wit)
         rec.check(bf_equiv(sys, f, g) == bf_equiv(sys, g, f),
@@ -749,7 +745,7 @@ def _suite_prop11(sys, rng, budget, rec):
                         bf_meet(sys, bf_plus(sys, f), eta))
         rec.check(bf_equiv(sys, f, blend),
                   "a blend inside the bracket is equivalent to its source",
-                  wit + " | " + describe_bf(sys, eta))
+                  wit + " | " + format_bf(sys, eta))
 
 
 def _suite_lemma12(sys, rng, budget, rec):
@@ -794,7 +790,7 @@ _MEET_FORMS = {"identity_form": {"identity"}, "phi_ab": {"phi_ab", "minimal"},
 def _suite_prop13(sys, rng, budget, rec):
     for _ in range(3 * budget):
         phi = random_bf(sys, rng)
-        wit = describe_bf(sys, phi)
+        wit = format_bf(sys, phi)
         try:
             cls = classify_meet_bf(sys, phi)
         except RefinementError as err:
@@ -832,7 +828,7 @@ def _suite_prop14(sys, rng, budget, rec):
               "the minimal function is join-irreducible", "const bottom")
     for _ in range(3 * budget):
         phi = random_bf(sys, rng)
-        wit = describe_bf(sys, phi)
+        wit = format_bf(sys, phi)
         try:
             cls = classify_join_bf(sys, phi)
         except RefinementError as err:

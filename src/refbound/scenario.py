@@ -54,6 +54,7 @@ from .boundary import (
     bf_plus,
     const_bf,
     eval_bf,
+    format_bf,
     identity_bf,
 )
 from .idealsets import (
@@ -81,7 +82,7 @@ from .irreducibility import (
     classify_meet_ideal,
     construct_family,
 )
-from .oracle import SUITE_NAMES, describe_bf, describe_expr, run_suite
+from .oracle import SUITE_NAMES, describe_expr, run_suite
 
 
 class ScenarioError(Exception):
@@ -294,7 +295,7 @@ class _Engine:
             self._fail(line, col, str(err))
         self.bfs[name] = bf
         self.out.results.append(CommandResult(
-            line, text, "ok", describe_bf(s, bf)))
+            line, text, "ok", format_bf(s, bf)))
 
     def _build_bf(self, kw, col, rest, line):
         s = self.sys
@@ -384,14 +385,14 @@ class _Engine:
             expr = self._ideal(i_tok, i_col, line)
             got = boundary_of(s, expr)
             wanted = self._bf(want, want_col, line)
-            self._record(line, text, bf_eq(s, got, wanted), describe_bf(s, got))
+            self._record(line, text, bf_eq(s, got, wanted), format_bf(s, got))
 
         elif head in ("minus", "plus"):
             f_tok, f_col = self._take(args, 0, line, "a function name")
             f = self._bf(f_tok, f_col, line)
             got = bf_minus(s, f) if head == "minus" else bf_plus(s, f)
             wanted = self._bf(want, want_col, line)
-            self._record(line, text, bf_eq(s, got, wanted), describe_bf(s, got))
+            self._record(line, text, bf_eq(s, got, wanted), format_bf(s, got))
 
         elif head == "lattice":
             op_tok, op_col = self._take(args, 0, line, "'join' or 'meet'")
@@ -403,7 +404,7 @@ class _Engine:
             g = self._bf(g_tok, g_col, line)
             got = bf_join(s, f, g) if op_tok == "join" else bf_meet(s, f, g)
             wanted = self._bf(want, want_col, line)
-            self._record(line, text, bf_eq(s, got, wanted), describe_bf(s, got))
+            self._record(line, text, bf_eq(s, got, wanted), format_bf(s, got))
 
         elif head == "classify":
             self._run_classify(line, text, args, want, want_col)

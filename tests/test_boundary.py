@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import cmp_to_key
 from math import lcm
 
 import pytest
@@ -33,21 +34,28 @@ from refbound.boundary import (
     make_bf,
     minus_point,
     modification_certificate,
+    leaf_value,
     normalize_bf,
+    overlay,
     pointwise_le,
     sigma_member,
     validate_bf,
 )
 from refbound.cocycle import gap_point
+from refbound.idealsets import boundary_of
 from refbound.irreducibility import construct_family
-from refbound.oracle import _random_linked_pair, random_bf, sample_points
+from refbound.oracle import _random_linked_pair, random_bf, random_module_expr, sample_points
 from refbound.order import (
+    EmptyIntervalError,
     RefinementSystem,
+    construct_between,
     has_gap_above,
     has_gap_below,
     interval,
+    interval_small_points,
     merge_level,
     orbit_test,
+    order_compare,
     p_max,
     p_min,
     p_test,
@@ -184,6 +192,23 @@ class TestNormalizeAndEq:
             (interval(BIN, suc(BIN, g), HI), ID),
         )))
         assert bf_eq(BIN, f, identity_bf(BIN))
+
+    def test_plateau_spelled_like_its_meet_with_identity(self):
+        f = construct_family(BIN, "phi_ab", a=pt("|12"), b=pt("2|21"))
+        g = bf_meet(BIN, f, identity_bf(BIN))
+        assert normalize_bf(BIN, g).pieces == normalize_bf(BIN, f).pieces
+        # the plateau keeps the point where it meets the identity
+        assert f.pieces[1][0] == interval(BIN, pt("|12"), pt("2|21"))
+
+    def test_constant_piece_spelled_like_left_limit(self):
+        g = pt("1|2")
+        f = PiecewiseBF((
+            (interval(BIN, LO, g, hi_open=True), ID_MINUS),
+            (interval(BIN, g, suc(BIN, g)), Const(g)),
+            (interval(BIN, suc(BIN, g), HI, lo_open=True), ID_MINUS),
+        ))
+        want = PiecewiseBF(((interval(BIN, LO, HI), ID_MINUS),))
+        assert normalize_bf(BIN, f).pieces == want.pieces
 
 
 class TestMinusPlus:
@@ -466,3 +491,134 @@ class TestLevelSearch:
         monkeypatch.setattr(boundary, "cylinder_within_eta", counted)
         assert sigma_member(BIN, f, x, x).is_no
         assert len(calls) <= 40
+
+
+# ---------------------------------------------------------------------------
+# the normal form against an exact reference
+
+
+def _values_equal(sys, f, g):
+    """Reference: overlay the two partitions and compare the leaves per cell.
+
+    Different leaves agree on a cell only where it has one or two points.
+    Modes are not compared.
+    """
+    def cell_equal(cell, lf, lg):
+        if type(lf) is type(lg):
+            return not isinstance(lf, Const) or lf.value == lg.value
+        pts = interval_small_points(sys, cell)
+        return pts is not None and all(
+            leaf_value(sys, lf, y) == leaf_value(sys, lg, y) for y in pts)
+
+    return all(cell_equal(*c) for c in overlay(sys, f, g))
+
+
+def _respell(sys, f, rng):
+    """The same function written with other pieces.
+
+    Infinite pieces are split at a construct_between point, and closed
+    end points are peeled off as singletons carrying any leaf that gives
+    their value; small pieces also take any such leaf.
+    """
+    def leaves(pts):
+        val = {y: eval_bf(sys, f, y) for y in pts}
+        return [lf for lf in (ID, ID_MINUS, Const(val[pts[0]]))
+                if all(leaf_value(sys, lf, y) == val[y] for y in pts)]
+
+    out = []
+    for ival, leaf in f.pieces:
+        pts = interval_small_points(sys, ival)
+        if pts is not None:
+            out.append((ival, rng.choice(leaves(pts))))
+            continue
+        parts = [ival]
+        mid = construct_between(sys, ival.lo, ival.hi)
+        if mid is not None and rng.random() < 0.7:
+            closed_left = rng.random() < 0.5
+            parts = [interval(sys, ival.lo, mid, ival.lo_open, not closed_left),
+                     interval(sys, mid, ival.hi, closed_left, ival.hi_open)]
+        for part in parts:
+            head = tail = None
+            if not part.lo_open and rng.random() < 0.4 \
+                    and interval_small_points(sys, part) is None:
+                head = part.lo
+                part = interval(sys, head, part.hi, True, part.hi_open)
+            if not part.hi_open and rng.random() < 0.4 \
+                    and interval_small_points(sys, part) is None:
+                tail = part.hi
+                part = interval(sys, part.lo, tail, part.lo_open, True)
+            if head is not None:
+                out.append((interval(sys, head, head), rng.choice(leaves([head]))))
+            out.append((part, leaf))
+            if tail is not None:
+                out.append((interval(sys, tail, tail), rng.choice(leaves([tail]))))
+    return PiecewiseBF(tuple(out), f.mode)
+
+
+def _random_partition(sys, rng):
+    """Pieces between random cuts with random leaves, lawful or not.
+
+    Cuts often come with their gap partners and a constant takes the
+    value of an end of its piece, so neighbours often compute the same
+    value at a border.
+    """
+    lo, hi = p_min(sys), p_max(sys)
+    cuts = set()
+    for x in sample_points(sys, rng.randrange(1 << 30), 8)[2:]:
+        cuts.add(x)
+        if has_gap_above(sys, x) and rng.random() < 0.5:
+            cuts.add(suc(sys, x))
+    cuts = sorted(cuts - {lo, hi}, key=cmp_to_key(order_compare))
+    pieces, start, start_open = [], lo, False
+    for c in cuts + [hi]:
+        c_left = c == hi or rng.random() < 0.5
+        try:
+            ival = interval(sys, start, c, start_open, not c_left)
+        except EmptyIntervalError:
+            ival = None
+        if ival is not None:
+            leaf = rng.choice([ID, ID_MINUS, Const(rng.choice((lo, start, c)))])
+            pieces.append((ival, leaf))
+        start, start_open = c, c_left
+    return PiecewiseBF(tuple(pieces))
+
+
+class TestCanonicalForm:
+    def test_structural_equality_matches_reference(self):
+        seen = Counter()
+        for sys in SEARCH_SYSTEMS:
+            rng = random.Random(f"canonical {sys}")
+            pool = []
+            for _ in range(12):
+                f = random_bf(sys, rng)
+                m = boundary_of(sys, random_module_expr(sys, rng))
+                pool += [f, bf_meet(sys, f, identity_bf(sys)), m]
+                pool += [_respell(sys, g, rng) for g in (f, f, m)]
+            norms = [normalize_bf(sys, f) for f in pool]
+            for f, n in zip(pool, norms):
+                assert normalize_bf(sys, n).pieces == n.pieces
+                assert _values_equal(sys, f, n)
+            for i, (f, n) in enumerate(zip(pool, norms)):
+                for g, k in zip(pool[i:], norms[i:]):
+                    same = _values_equal(sys, f, g)
+                    assert (n.pieces == k.pieces) == same
+                    assert bf_eq(sys, f, g) == (same and f.mode is g.mode)
+                    if same:
+                        seen["equal, spelled alike" if f.pieces == g.pieces
+                             else "equal, spelled apart" if f.mode is g.mode
+                             else "equal, modes apart"] += 1
+                    else:
+                        seen["unequal"] += 1
+        assert all(seen[k] > 0 for k in (
+            "equal, spelled alike", "equal, spelled apart", "equal, modes apart", "unequal"))
+
+    def test_any_partition_has_one_normal_form(self):
+        for sys in SEARCH_SYSTEMS:
+            rng = random.Random(f"partition {sys}")
+            for _ in range(40):
+                f = _random_partition(sys, rng)
+                n = normalize_bf(sys, f)
+                assert normalize_bf(sys, n).pieces == n.pieces
+                assert _values_equal(sys, f, n)
+                for _ in range(3):
+                    assert normalize_bf(sys, _respell(sys, f, rng)).pieces == n.pieces

@@ -267,6 +267,15 @@ class TestCLI:
         assert data["exit"] == 0
         assert len(data["reports"]) == 16
 
+    def test_suite_repeated_system_reports_in_order(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        argv = ["suite", "lemma10", "--system", ";2,3", "--system", ";2",
+                "--json", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        data = json.loads(path.read_text())
+        assert [r["system"] for r in data["reports"]] == [";2,3", ";2"]
+
     def test_paper_examples_groups(self, capsys):
         for group in sorted(FIXTURE_GROUPS):
             assert main(["paper-examples", group]) == 0

@@ -3,8 +3,10 @@
 import pytest
 
 from refbound.boundary import (
+    ID,
     Const,
     Mode,
+    PiecewiseBF,
     bf_eq,
     bf_minus,
     eval_bf,
@@ -51,7 +53,6 @@ from refbound.idealsets import (
     sandwich_check,
     sigma_closed,
     sigma_open,
-    tailset_complement,
     tailset_contains,
     tailset_intersect,
     tailset_is_all,
@@ -308,13 +309,6 @@ class TestTailSets:
             self.S, (self.iv("|1", "2|1"),), (self.iv("12|1", "|2"),))
         assert got == (self.iv("12|1", "2|1"),)
 
-    def test_complement_roundtrip(self):
-        ts = (self.iv("12|1", "2|1"),)
-        co = tailset_complement(self.S, ts)
-        assert len(co) == 2
-        assert tailset_is_all(self.S, tailset_union(self.S, ts, co))
-        assert tailset_intersect(self.S, ts, co) == ()
-
     def test_remove_point(self):
         w = parse_point(self.S, "|21")
         got = tailset_remove_point(self.S, (full_interval(self.S),), w)
@@ -410,6 +404,12 @@ class TestValidation:
         bad = StripPlus(pt("|2"), pt("|1"))  # reversed, different orbits
         codes = [v.code for v in validate_ideal_expr(BIN, bad)]
         assert codes == ["ConstructorViolation"]
+
+    def test_function_with_a_hole_rejected(self):
+        hole = PiecewiseBF(((interval(BIN, p_min(BIN), pt("11|2")), ID),
+                            (interval(BIN, pt("2|2"), p_max(BIN)), ID)))
+        got = validate_ideal_expr(BIN, OfBFOpen(hole))
+        assert [v.detail for v in got] == ["invalid boundary function: Partition"]
 
     def test_corner_needs_interior_thresholds(self):
         bad = Corner(pt("|1"), pt("2|21"))

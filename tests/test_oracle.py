@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from refbound.boundary import Mode, validate_bf
-from refbound.idealsets import FiniteLevel, close_finite_level, validate_ideal_expr
+from refbound.boundary import Mode, bf_eq, identity_bf, parse_bf, validate_bf
+from refbound.idealsets import (
+    FiniteLevel,
+    OfBFClosed,
+    OfBFOpen,
+    close_finite_level,
+    validate_ideal_expr,
+)
 from refbound.order import (
     RefinementError,
     format_point,
@@ -21,7 +27,6 @@ from refbound.oracle import (
     SuiteViolation,
     brute_boundary,
     build_finite_model,
-    describe_bf,
     describe_expr,
     enumerate_closed_sets,
     merge_reports,
@@ -195,13 +200,16 @@ class TestSamplers:
 
 class TestDescriptions:
     def test_identity(self):
-        from refbound.boundary import identity_bf
-        assert describe_bf(BIN, identity_bf(BIN)) == "id on [|1, |2]"
+        f = identity_bf(BIN)
+        text = describe_expr(BIN, OfBFClosed(f))
+        assert text == "hull[[|1, |2] -> id]"
+        assert bf_eq(BIN, parse_bf(BIN, text[len("hull["):-1]), f)
 
     def test_module_flag(self):
-        from refbound.boundary import identity_bf
-        text = describe_bf(BIN, identity_bf(BIN, Mode.MODULE))
-        assert text.endswith("(module)")
+        f = identity_bf(BIN, Mode.MODULE)
+        text = describe_expr(BIN, OfBFOpen(f))
+        assert text.startswith("open[module ")
+        assert bf_eq(BIN, parse_bf(BIN, text[len("open["):-1]), f)
 
     def test_expression_text_round_trips_points(self):
         from refbound.idealsets import Strip
