@@ -55,7 +55,6 @@ from .order import (
     has_gap_above,
     has_gap_below,
     interval,
-    interval_contains,
     interval_inf,
     interval_intersect,
     interval_small_points,
@@ -110,13 +109,6 @@ def _kind_ok(sys: RefinementSystem, kind: str, x: Point) -> bool:
     if kind == "gap_above_only":
         return has_gap_above(sys, x)
     raise ValueError(f"unknown part kind: {kind!r}")
-
-
-def set_contains(sys: RefinementSystem, s: SymbolicSet, x: Point) -> bool:
-    if any(x == p for p in s.points):
-        return True
-    return any(interval_contains(part.ival, x) and _kind_ok(sys, part.kind, x)
-               for part in s.parts)
 
 
 def set_values(sys: RefinementSystem, s: SymbolicSet) -> Optional[list[Point]]:

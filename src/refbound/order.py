@@ -12,7 +12,9 @@ length, so that shifting a point never leaves the representable class.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
@@ -31,6 +33,14 @@ class DigitRangeError(RefinementError):
 
 class EmptyIntervalError(RefinementError):
     pass
+
+
+def _unroll(head: tuple[int, ...], loop: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # first n terms of head followed by loop repeated forever
+    if n <= len(head):
+        return head[:max(n, 0)]
+    reps = -(-(n - len(head)) // len(loop))
+    return (head + loop * reps)[:n]
 
 
 def _primitive_root(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -81,6 +91,10 @@ class RefinementSystem:
     def k_max(self) -> int:
         return max(self.prefix + self.cycle)
 
+    def k_word(self, n: int) -> tuple[int, ...]:
+        """The multiplicities at positions 1..n as one tuple."""
+        return _unroll(self.prefix, self.cycle, n)
+
     def k_at(self, n: int) -> int:
         """Multiplicity at position n (1-based)."""
         if n < 1:
@@ -102,10 +116,31 @@ class RefinementSystem:
         if m < 0:
             raise ValueError("shift must be nonnegative")
         p = len(self.prefix)
-        if m <= p:
-            return RefinementSystem.make(self.prefix[m:], self.cycle)
-        r = (m - p) % len(self.cycle)
-        return RefinementSystem.make((), self.cycle[r:] + self.cycle[:r])
+        if m > p:
+            m = p + (m - p) % len(self.cycle)
+        out = self._shift_cache.get(m)
+        if out is None:
+            if m <= p:
+                out = RefinementSystem.make(self.prefix[m:], self.cycle)
+            else:
+                r = m - p
+                out = RefinementSystem.make((), self.cycle[r:] + self.cycle[:r])
+            self._shift_cache[m] = out
+        return out
+
+    @cached_property
+    def _shift_cache(self) -> dict[int, "RefinementSystem"]:
+        # shift() by reduced offset, so at most prefix_len + cycle_len entries
+        return {}
+
+    @cached_property
+    def _p_min(self) -> "Point":
+        return point(self, (), (1,) * self.cycle_len)
+
+    @cached_property
+    def _p_max(self) -> "Point":
+        # digits of the maximum point are the multiplicities themselves
+        return point(self, self.prefix, self.cycle)
 
 
 @dataclass(frozen=True)
@@ -117,7 +152,8 @@ class Point:
     the minimal eventual period and the system's cycle length, and the
     preamble is as short as possible.  Build through point() which
     canonicalizes; two canonical points are equal iff their digit
-    strings are.
+    strings are.  word(n) gives the first n digits as one tuple, which
+    is how the order primitives below read them.
     """
 
     preamble: tuple[int, ...]
@@ -128,6 +164,10 @@ class Point:
             return self.preamble[n - 1]
         return self.period[(n - len(self.preamble) - 1) % len(self.period)]
 
+    def word(self, n: int) -> tuple[int, ...]:
+        """digit(1), ..., digit(n) as one tuple."""
+        return _unroll(self.preamble, self.period, n)
+
 
 def point(sys: RefinementSystem, preamble: Sequence[int], period: Sequence[int]) -> Point:
     """Canonical point with the given digit string.
@@ -136,57 +176,62 @@ def point(sys: RefinementSystem, preamble: Sequence[int], period: Sequence[int])
     (MisalignedPeriodError otherwise) and every digit must lie in
     1..k_n at its position (DigitRangeError).
     """
-    pre = tuple(int(d) for d in preamble)
-    per = tuple(int(d) for d in period)
+    pre = tuple(map(int, preamble))
+    per = tuple(map(int, period))
     if not per:
         raise ValueError("period must be nonempty")
     big_l = sys.cycle_len
-    if len(per) % big_l != 0:
-        raise MisalignedPeriodError(
-            f"period length {len(per)} is not a multiple of cycle length {big_l}")
-    raw = Point(pre, per)
-    # one full joint period past the prefix/preamble region covers all residues
-    limit = max(sys.prefix_len, len(pre)) + len(per)
-    for n in range(1, limit + 1):
-        d = raw.digit(n)
-        if not 1 <= d <= sys.k_at(n):
-            raise DigitRangeError(
-                f"digit {d} at position {n} outside 1..{sys.k_at(n)}")
     ln = len(per)
+    if ln % big_l != 0:
+        raise MisalignedPeriodError(
+            f"period length {ln} is not a multiple of cycle length {big_l}")
+    # one full joint period past the prefix/preamble region covers all residues
+    limit = max(sys.prefix_len, len(pre)) + ln
+    word, ks = _unroll(pre, per, limit), sys.k_word(limit)
+    if min(word) < 1 or not all(map(operator.le, word, ks)):
+        n, d, k = next((n, d, k) for n, (d, k) in enumerate(zip(word, ks), start=1)
+                       if not 1 <= d <= k)
+        raise DigitRangeError(f"digit {d} at position {n} outside 1..{k}")
     lstar = next(d for d in range(1, ln + 1)
-                 if ln % d == 0
-                 and all(per[i] == per[(i + d) % ln] for i in range(ln)))
+                 if ln % d == 0 and per[d:] + per[:d] == per)
+    # lc divides ln, so pre + per holds every digit up to position m + lc
     lc = lcm(lstar, big_l)
+    s = pre + per
     m = len(pre)
-    while m > 0 and raw.digit(m) == raw.digit(m + lc):
+    while m > 0 and s[m - 1] == s[m - 1 + lc]:
         m -= 1
-    digits = [raw.digit(n) for n in range(1, m + lc + 1)]
-    return Point(tuple(digits[:m]), tuple(digits[m:]))
+    return Point(s[:m], s[m:m + lc])
 
 
 def prefix_digits(x: Point, n: int) -> tuple[int, ...]:
-    return tuple(x.digit(i) for i in range(1, n + 1))
+    return x.word(n)
 
 
 # ---------------------------------------------------------------------------
 # order and orbit
 
 
-def first_difference(x: Point, y: Point) -> Optional[int]:
-    """First position where the digit strings differ, or None if equal."""
+def _joint_words(x: Point, y: Point) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    # (w, x's word, y's word) up to w + lcm of the periods, where w is the
+    # longer preamble: the digit strings are equal iff these words are
     w = max(len(x.preamble), len(y.preamble))
     span = w + lcm(len(x.period), len(y.period))
-    for n in range(1, span + 1):
-        if x.digit(n) != y.digit(n):
-            return n
-    return None
+    return w, _unroll(x.preamble, x.period, span), _unroll(y.preamble, y.period, span)
+
+
+def first_difference(x: Point, y: Point) -> Optional[int]:
+    """First position where the digit strings differ, or None if equal."""
+    _, a, b = _joint_words(x, y)
+    if a == b:
+        return None
+    return next(itertools.compress(itertools.count(1), map(operator.ne, a, b)))
 
 
 def order_compare(x: Point, y: Point) -> int:
-    n = first_difference(x, y)
-    if n is None:
+    _, a, b = _joint_words(x, y)
+    if a == b:
         return 0
-    return -1 if x.digit(n) < y.digit(n) else 1
+    return -1 if a < b else 1
 
 
 def le(x: Point, y: Point) -> bool:
@@ -199,9 +244,8 @@ def lt(x: Point, y: Point) -> bool:
 
 def orbit_test(x: Point, y: Point) -> bool:
     """Do x and y agree from some position on (lie in the same orbit)?"""
-    w = max(len(x.preamble), len(y.preamble))
-    span = lcm(len(x.period), len(y.period))
-    return all(x.digit(n) == y.digit(n) for n in range(w + 1, w + span + 1))
+    w, a, b = _joint_words(x, y)
+    return a[w:] == b[w:]
 
 
 def p_test(x: Point, y: Point) -> bool:
@@ -217,11 +261,8 @@ def merge_level(x: Point, y: Point) -> int:
     if not orbit_test(x, y):
         raise ValueError("merge_level needs points in the same orbit")
     w = max(len(x.preamble), len(y.preamble))
-    last = 0
-    for n in range(1, w + 1):
-        if x.digit(n) != y.digit(n):
-            last = n
-    return last
+    a, b = x.word(w), y.word(w)
+    return next((n for n in range(w, 0, -1) if a[n - 1] != b[n - 1]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +270,11 @@ def merge_level(x: Point, y: Point) -> int:
 
 
 def p_min(sys: RefinementSystem) -> Point:
-    return point(sys, (), (1,) * sys.cycle_len)
+    return sys._p_min
 
 
 def p_max(sys: RefinementSystem) -> Point:
-    # digits of the maximum point are the multiplicities themselves
-    return point(sys, sys.prefix, sys.cycle)
+    return sys._p_max
 
 
 def _window(sys: RefinementSystem, x: Point) -> int:
@@ -248,7 +288,8 @@ def has_gap_above(sys: RefinementSystem, x: Point) -> bool:
     from some point on) and x is not the maximum point.
     """
     w = _window(sys, x)
-    if not all(x.digit(n) == sys.k_at(n) for n in range(w + 1, w + len(x.period) + 1)):
+    n = w + len(x.period)
+    if x.word(n)[w:] != sys.k_word(n)[w:]:
         return False
     return x != p_max(sys)
 
@@ -274,18 +315,18 @@ def suc(sys: RefinementSystem, x: Point) -> Point:
     if not has_gap_above(sys, x):
         raise ValueError("point has no immediate successor")
     w = _window(sys, x)
-    j = next(n for n in range(w, 0, -1) if x.digit(n) < sys.k_at(n))
-    head = [x.digit(n) for n in range(1, j)] + [x.digit(j) + 1]
-    return min_tail_point(sys, head)
+    a, ks = x.word(w), sys.k_word(w)
+    j = next(n for n in range(w, 0, -1) if a[n - 1] < ks[n - 1])
+    return min_tail_point(sys, a[:j - 1] + (a[j - 1] + 1,))
 
 
 def pred(sys: RefinementSystem, x: Point) -> Point:
     if not has_gap_below(sys, x):
         raise ValueError("point has no immediate predecessor")
     w = _window(sys, x)
-    j = next(n for n in range(w, 0, -1) if x.digit(n) > 1)
-    head = [x.digit(n) for n in range(1, j)] + [x.digit(j) - 1]
-    return max_tail_point(sys, head)
+    a = x.word(w)
+    j = next(n for n in range(w, 0, -1) if a[n - 1] > 1)
+    return max_tail_point(sys, a[:j - 1] + (a[j - 1] - 1,))
 
 
 def min_tail_point(sys: RefinementSystem, word: Sequence[int]) -> Point:
@@ -297,9 +338,8 @@ def max_tail_point(sys: RefinementSystem, word: Sequence[int]) -> Point:
     """The largest point whose digits start with word."""
     j = len(word)
     w = max(j, sys.prefix_len)
-    pre = list(word) + [sys.k_at(n) for n in range(j + 1, w + 1)]
-    per = tuple(sys.k_at(n) for n in range(w + 1, w + sys.cycle_len + 1))
-    return point(sys, pre, per)
+    ks = sys.k_word(w + sys.cycle_len)
+    return point(sys, tuple(word) + ks[j:w], ks[w:])
 
 
 def cylinder_bounds(sys: RefinementSystem, word: Sequence[int]) -> tuple[Point, Point]:
@@ -313,9 +353,8 @@ def cylinder_bounds(sys: RefinementSystem, word: Sequence[int]) -> tuple[Point, 
 def tail_of(sys: RefinementSystem, x: Point, m: int) -> Point:
     """x with its first m digits removed, as a point of sys.shift(m)."""
     w = max(m, len(x.preamble))
-    pre = [x.digit(n) for n in range(m + 1, w + 1)]
-    per = [x.digit(n) for n in range(w + 1, w + len(x.period) + 1)]
-    return point(sys.shift(m), pre, per)
+    a = x.word(w + len(x.period))
+    return point(sys.shift(m), a[m:w], a[w:])
 
 
 def prepend(sys: RefinementSystem, word: Sequence[int], y: Point) -> Point:
@@ -434,26 +473,22 @@ def interval_small_points(sys: RefinementSystem, ival: OrderInterval) -> Optiona
 
 def construct_between(sys: RefinementSystem, a: Point, b: Point) -> Optional[Point]:
     """Some point strictly between a and b, or None when (a, b) is empty."""
-    if order_compare(a, b) >= 0:
-        raise ValueError("construct_between needs a strictly below b")
     n = first_difference(a, b)
-    assert n is not None
+    if n is None or a.digit(n) > b.digit(n):
+        raise ValueError("construct_between needs a strictly below b")
     if a.digit(n) + 1 < b.digit(n):
-        head = [a.digit(i) for i in range(1, n)] + [a.digit(n) + 1]
-        return min_tail_point(sys, head)
+        return min_tail_point(sys, a.word(n - 1) + (a.digit(n) + 1,))
     # b_n = a_n + 1: bump a somewhere past the cut, or lower b there
-    wa = max(len(a.preamble), sys.prefix_len, n)
-    p = next((i for i in range(n + 1, wa + len(a.period) + 1)
-              if a.digit(i) < sys.k_at(i)), None)
+    la = max(len(a.preamble), sys.prefix_len, n) + len(a.period)
+    aw, ks = a.word(la), sys.k_word(la)
+    p = next((i for i in range(n + 1, la + 1) if aw[i - 1] < ks[i - 1]), None)
     if p is not None:
-        head = [a.digit(i) for i in range(1, p)] + [a.digit(p) + 1]
-        return min_tail_point(sys, head)
-    wb = max(len(b.preamble), sys.prefix_len, n)
-    q = next((i for i in range(n + 1, wb + len(b.period) + 1)
-              if b.digit(i) > 1), None)
+        return min_tail_point(sys, aw[:p - 1] + (aw[p - 1] + 1,))
+    lb = max(len(b.preamble), sys.prefix_len, n) + len(b.period)
+    bw = b.word(lb)
+    q = next((i for i in range(n + 1, lb + 1) if bw[i - 1] > 1), None)
     if q is not None:
-        head = [b.digit(i) for i in range(1, q)] + [b.digit(q) - 1]
-        return max_tail_point(sys, head)
+        return max_tail_point(sys, bw[:q - 1] + (bw[q - 1] - 1,))
     return None  # a runs maximal and b minimal after the cut: b = suc(a)
 
 

@@ -35,7 +35,6 @@ from refbound.irreducibility import (
     classify_meet_ideal,
     construct_family,
     range_and_drop,
-    set_contains,
     set_values,
 )
 from refbound.order import (
@@ -44,6 +43,7 @@ from refbound.order import (
     has_gap_above,
     has_gap_below,
     interval,
+    interval_contains,
     le,
     lt,
     p_max,
@@ -58,6 +58,14 @@ BIN = parse_system(";2")
 
 def pt(text):
     return parse_point(BIN, text)
+
+
+def set_contains(sys, s, x):
+    """Is x in the symbolic set s (its points, or a part's interval of the part's kind)?"""
+    kind_ok = {"all": True, "no_gap_below": not has_gap_below(sys, x),
+               "gap_below_only": has_gap_below(sys, x), "gap_above_only": has_gap_above(sys, x)}
+    return x in s.points or any(interval_contains(part.ival, x) and kind_ok[part.kind]
+                                for part in s.parts)
 
 
 def vals(sym):

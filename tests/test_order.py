@@ -1,3 +1,6 @@
+import random
+from math import lcm
+
 import pytest
 
 from refbound.order import (
@@ -5,6 +8,7 @@ from refbound.order import (
     EmptyIntervalError,
     MisalignedPeriodError,
     Point,
+    RefinementError,
     RefinementSystem,
     construct_between,
     construct_between_no_gap_below,
@@ -24,7 +28,9 @@ from refbound.order import (
     le,
     level_words,
     lt,
+    max_tail_point,
     merge_level,
+    min_tail_point,
     orbit_test,
     order_compare,
     p_max,
@@ -337,3 +343,214 @@ class TestLiterals:
             parse_point(BIN, "12")
         with pytest.raises(ValueError):
             parse_system("2,3")
+
+
+# ---------------------------------------------------------------------------
+# digit-by-digit reference for the primitives that read digit words
+
+
+def ref_point(sys, pre, per):
+    """Canonical point spelled out one digit at a time: same errors, same result."""
+    pre, per = tuple(pre), tuple(per)
+    if not per:
+        raise ValueError("period must be nonempty")
+    if len(per) % sys.cycle_len != 0:
+        raise MisalignedPeriodError(
+            f"period length {len(per)} is not a multiple of cycle length {sys.cycle_len}")
+
+    def digit(n):
+        return pre[n - 1] if n <= len(pre) else per[(n - len(pre) - 1) % len(per)]
+
+    for n in range(1, max(sys.prefix_len, len(pre)) + len(per) + 1):
+        if not 1 <= digit(n) <= sys.k_at(n):
+            raise DigitRangeError(f"digit {digit(n)} at position {n} outside 1..{sys.k_at(n)}")
+    ln = len(per)
+    lstar = min(d for d in range(1, ln + 1)
+                if ln % d == 0 and all(per[i] == per[(i + d) % ln] for i in range(ln)))
+    lc = lcm(lstar, sys.cycle_len)
+    # the shortest preamble m whose next lc digits repeat forever
+    window = len(pre) + 2 * ln + lc
+    for m in range(len(pre) + 1):
+        if all(digit(n) == digit(n + lc) for n in range(m + 1, window + 1)):
+            return Point(tuple(digit(n) for n in range(1, m + 1)),
+                         tuple(digit(n) for n in range(m + 1, m + lc + 1)))
+    raise AssertionError("no preamble found")
+
+
+def ref_shift(sys, m):
+    w = max(sys.prefix_len, m)
+    return RefinementSystem.make([sys.k_at(n) for n in range(m + 1, w + 1)],
+                                 [sys.k_at(n) for n in range(w + 1, w + sys.cycle_len + 1)])
+
+
+def ref_first_difference(x, y):
+    w = max(len(x.preamble), len(y.preamble))
+    for n in range(1, w + lcm(len(x.period), len(y.period)) + 1):
+        if x.digit(n) != y.digit(n):
+            return n
+    return None
+
+
+def ref_compare(x, y):
+    n = ref_first_difference(x, y)
+    return 0 if n is None else (-1 if x.digit(n) < y.digit(n) else 1)
+
+
+def ref_orbit(x, y):
+    w = max(len(x.preamble), len(y.preamble))
+    return all(x.digit(n) == y.digit(n)
+               for n in range(w + 1, w + lcm(len(x.period), len(y.period)) + 1))
+
+
+def ref_merge_level(x, y):
+    if not ref_orbit(x, y):
+        raise ValueError("merge_level needs points in the same orbit")
+    w = max(len(x.preamble), len(y.preamble))
+    return max((n for n in range(1, w + 1) if x.digit(n) != y.digit(n)), default=0)
+
+
+def ref_min_tail(sys, word):
+    return ref_point(sys, word, (1,) * sys.cycle_len)
+
+
+def ref_max_tail(sys, word):
+    w = max(len(word), sys.prefix_len)
+    return ref_point(sys, tuple(word) + tuple(sys.k_at(n) for n in range(len(word) + 1, w + 1)),
+                     tuple(sys.k_at(n) for n in range(w + 1, w + sys.cycle_len + 1)))
+
+
+def ref_gap_above(sys, x):
+    w = max(len(x.preamble), sys.prefix_len)
+    top = all(x.digit(n) == sys.k_at(n) for n in range(w + 1, w + len(x.period) + 1))
+    return top and ref_compare(x, ref_max_tail(sys, ())) != 0
+
+
+def ref_gap_below(sys, x):
+    return all(d == 1 for d in x.period) and ref_compare(x, ref_min_tail(sys, ())) != 0
+
+
+def ref_suc(sys, x):
+    if not ref_gap_above(sys, x):
+        raise ValueError("point has no immediate successor")
+    w = max(len(x.preamble), sys.prefix_len)
+    j = max(n for n in range(1, w + 1) if x.digit(n) < sys.k_at(n))
+    return ref_min_tail(sys, [x.digit(n) for n in range(1, j)] + [x.digit(j) + 1])
+
+
+def ref_pred(sys, x):
+    if not ref_gap_below(sys, x):
+        raise ValueError("point has no immediate predecessor")
+    w = max(len(x.preamble), sys.prefix_len)
+    j = max(n for n in range(1, w + 1) if x.digit(n) > 1)
+    return ref_max_tail(sys, [x.digit(n) for n in range(1, j)] + [x.digit(j) - 1])
+
+
+def ref_tail_of(sys, x, m):
+    w = max(m, len(x.preamble))
+    return ref_point(ref_shift(sys, m), [x.digit(n) for n in range(m + 1, w + 1)],
+                     [x.digit(n) for n in range(w + 1, w + len(x.period) + 1)])
+
+
+def ref_prepend(sys, word, y):
+    return ref_point(sys, tuple(word) + y.preamble, y.period)
+
+
+def outcome(f, *args):
+    """The value f returns, or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except (ValueError, RefinementError) as err:
+        return type(err), str(err)
+
+
+REF_SYSTEMS = [parse_system(t) for t in (";2", ";2,3", "3;2", ";11", "2;2,2,3", "12;2,13")]
+
+
+def raw_digits(rng, sys, start, count, bad):
+    out = []
+    for n in range(start, start + count):
+        k = sys.k_at(n)
+        if bad and rng.random() < 0.25:
+            out.append(rng.choice((0, k + 1, sys.k_max + 1)))
+        else:
+            out.append(rng.choice((1, k, rng.randint(1, k))))
+    return out
+
+
+class TestAgainstDigitReference:
+    """Each word-based primitive gives what a digit-by-digit reading gives."""
+
+    @pytest.mark.parametrize("sys", REF_SYSTEMS, ids=format_system)
+    def test_primitives_match_reference(self, sys):
+        rng = random.Random(format_system(sys))
+        L = sys.cycle_len
+        points, errors = [p_min(sys), p_max(sys)], set()
+        for i in range(120):
+            bad = i % 3 == 0
+            plen = rng.choice((0, 1, 2, 3, 5))
+            plen_per = L * rng.choice((1, 2, 3)) + (rng.choice((-1, 1)) if bad and i % 2 else 0)
+            pre = raw_digits(rng, sys, 1, plen, bad)
+            per = raw_digits(rng, sys, plen + 1, max(plen_per, 1), bad)
+            if i % 5 == 1:
+                per = [sys.k_at(plen + n) for n in range(1, L + 1)] * (plen_per // L or 1)
+            if i % 5 == 2:
+                per = [1] * max(plen_per, 1)
+            got = outcome(point, sys, pre, per)
+            assert got == outcome(ref_point, sys, pre, per), (pre, per)
+            if isinstance(got, Point):
+                points.append(got)
+            else:
+                errors.add(got[0])
+        assert DigitRangeError in errors and (L == 1 or MisalignedPeriodError in errors)
+        assert len(points) > 60
+        for x in points:
+            assert outcome(has_gap_above, sys, x) == ref_gap_above(sys, x)
+            assert outcome(has_gap_below, sys, x) == ref_gap_below(sys, x)
+            assert outcome(suc, sys, x) == outcome(ref_suc, sys, x)
+            assert outcome(pred, sys, x) == outcome(ref_pred, sys, x)
+            for m in range(len(x.preamble) + len(x.period) + 3):
+                word = prefix_digits(x, m)
+                assert word == tuple(x.digit(n) for n in range(1, m + 1))
+                t = tail_of(sys, x, m)
+                assert t == ref_tail_of(sys, x, m)
+                assert prepend(sys, word, t) == ref_prepend(sys, word, t) == x
+                # a random word of length m, out of range now and then
+                w = raw_digits(rng, sys, 1, m, bad=m % 2 == 1)
+                assert outcome(min_tail_point, sys, w) == outcome(ref_min_tail, sys, w)
+                assert outcome(max_tail_point, sys, w) == outcome(ref_max_tail, sys, w)
+                assert outcome(prepend, sys, w, t) == outcome(ref_prepend, sys, w, t)
+        for _ in range(600):
+            x = rng.choice(points)
+            if rng.random() < 0.3:  # an orbit mate that agrees with x deep into its digits
+                m = rng.randint(0, len(x.preamble) + len(x.period) + 2)
+                y = replace_prefix(sys, x, raw_digits(rng, sys, 1, m, bad=False))
+            else:
+                y = rng.choice(points)
+            assert first_difference(x, y) == ref_first_difference(x, y)
+            assert order_compare(x, y) == ref_compare(x, y)
+            assert orbit_test(x, y) == ref_orbit(x, y)
+            assert outcome(merge_level, x, y) == outcome(ref_merge_level, x, y)
+
+
+class TestWordsAndCaches:
+    def test_words(self):
+        x = pt(K23, "212|31")
+        assert x.word(7) == (2, 1, 2, 3, 1, 3, 1)
+        assert x.word(2) == (2, 1) and x.word(0) == ()
+        assert PRE.k_word(4) == (3, 2, 2, 2) and PRE.k_word(0) == ()
+        assert K23.k_word(5) == (2, 3, 2, 3, 2)
+
+    def test_shift_cache_is_bounded(self):
+        s = RefinementSystem.make((2, 2, 4), (3, 5, 2))
+        for m in range(5001):
+            assert s.shift(m) == ref_shift(s, m)
+            if m >= s.prefix_len:
+                assert s.shift(m) == s.shift(m + s.cycle_len)
+        assert len(s._shift_cache) <= s.prefix_len + s.cycle_len
+        with pytest.raises(ValueError, match="shift must be nonnegative"):
+            s.shift(-1)
+
+    def test_extremes_are_built_once(self):
+        s = RefinementSystem.make((3,), (2, 5))
+        assert p_min(s) is p_min(s) and p_max(s) is p_max(s)
+        assert p_max(s) == point(s, (3,), (2, 5))
