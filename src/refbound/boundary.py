@@ -24,6 +24,8 @@ from .order import (
     Point,
     RefinementError,
     RefinementSystem,
+    check_digits,
+    compare_beyond,
     construct_between_no_gap_below,
     cylinder_bounds,
     format_point,
@@ -46,9 +48,7 @@ from .order import (
     p_test,
     prefix_digits,
     pred,
-    prepend,
     suc,
-    tail_of,
 )
 
 
@@ -393,23 +393,20 @@ def bf_minus(sys: RefinementSystem, f: PiecewiseBF) -> PiecewiseBF:
 # ---------------------------------------------------------------------------
 # cylinder linkage against a boundary function
 #
-# For level-N words u, v the matched-tail cylinder pair is
-# {(u w, v w) : w a tail}.  The tests below decide, per strictness,
+# For level-n words u, v the matched-tail cylinder pair is
+# {(u w, v w) : w a tail}.  The test below decides, per strictness,
 # whether every matched pair lies weakly below phi, strictly below phi,
-# or weakly below the gap-raised phi.  Each overlay cell of the v-side
-# cylinder reduces to a word comparison or an endpoint comparison.
-
-
-def _cylinder_interval(sys: RefinementSystem, word: Sequence[int]) -> OrderInterval:
-    lo, hi = cylinder_bounds(sys, word)
-    return interval(sys, lo, hi)
-
-
-def _cell_tail_interval(sys: RefinementSystem, n: int, cell: OrderInterval) -> OrderInterval:
-    shifted = sys.shift(n)
-    return interval(shifted,
-                    tail_of(sys, cell.lo, n), tail_of(sys, cell.hi, n),
-                    cell.lo_open, cell.hi_open)
+# or weakly below the gap-raised phi.  It works on digit words: a piece
+# end lies below, inside or above the v-cylinder as its first n digits
+# compare with v.  Identity leaves compare u with v, and a constant leaf
+# compares u and then the digits beyond n of the cell's top (its upper
+# end, or the cylinder max, whose tail is the maximal point's) with
+# those of the value.  Both cylinder extremes are attained, and once an
+# open end with a gap on its open side is closed onto its neighbour, a
+# cell is empty only when both its ends lie inside and cross: an open
+# end inside the cylinder could face the extreme it sits on only as
+# p_min or p_max, and then no point lies beyond that extreme for the
+# other end to occupy.
 
 
 def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
@@ -419,16 +416,34 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
 
     Nonstrict compares against phi(v w), strict demands strict order,
     and raised compares against phi(v w) pushed through its gap above.
+    Each piece meets the v-cylinder in a cell, decided on digit words
+    without building points; only a left-limit leaf with u = v,
+    nonstrict, lists the cell's points.  v is range-checked on every
+    call, u where a constant leaf reads it (DigitRangeError).
     """
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         raise ValueError("cylinder words must have one length")
     n = len(v)
-    cyl = _cylinder_interval(sys, v)
+    ks = sys.k_word(n)
+    check_digits(v, ks)
     for ival, leaf in bf.pieces:
-        cell = interval_intersect(sys, ival, cyl)
-        if cell is None:
+        lo, lo_open, hi, hi_open = ival.lo, ival.lo_open, ival.hi, ival.hi_open
+        if lo_open and has_gap_above(sys, lo):
+            lo, lo_open = suc(sys, lo), False
+        if hi_open and has_gap_below(sys, hi):
+            hi, hi_open = pred(sys, hi), False
+        hw = hi.word(n)
+        if hw < v:
             continue
+        lw = lo.word(n)
+        if lw > v:
+            continue
+        lo_in, hi_in = lw == v, hw == v
+        if lo_in and hi_in:
+            c = order_compare(lo, hi)
+            if c > 0 or (c == 0 and (lo_open or hi_open)):
+                continue
         if isinstance(leaf, Identity):
             if strictness is Strictness.STRICT:
                 if not u < v:
@@ -442,6 +457,9 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
                 if strictness is Strictness.STRICT:
                     return False
                 if strictness is Strictness.NONSTRICT:
+                    cmin, cmax = cylinder_bounds(sys, v)
+                    cell = OrderInterval(lo if lo_in else cmin, hi if hi_in else cmax,
+                                         lo_open and lo_in, hi_open and hi_in)
                     pts = interval_small_points(sys, cell)
                     if pts is None or any(has_gap_below(sys, z) for z in pts):
                         return False
@@ -449,12 +467,15 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
             target = leaf.value
             if strictness is Strictness.RAISED:
                 target = plus_point(sys, target)
-            w_sup, attained = interval_sup(sys, _cell_tail_interval(sys, n, cell))
-            high = prepend(sys, u, w_sup)
-            if strictness is Strictness.STRICT and attained:
-                if not lt(high, target):
+            check_digits(u, ks)
+            head = target.word(n)
+            if u != head:
+                if u > head:
                     return False
-            elif not le(high, target):
+                continue
+            c = compare_beyond(hi if hi_in else p_max(sys), target, n)
+            if c > 0 or (c == 0 and strictness is Strictness.STRICT
+                         and not (hi_in and hi_open)):
                 return False
     return True
 
@@ -579,42 +600,29 @@ def level_set_max(sys: RefinementSystem, bf: PiecewiseBF,
     return None
 
 
-@dataclass(frozen=True)
-class ModificationCertificate:
-    """Matched-tail cylinder witnessing the raised linkage at y."""
-
-    y: Point
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-
-
-def modification_certificate(sys: RefinementSystem, bf: PiecewiseBF,
-                             y: Point) -> tuple[Verdict, Optional[ModificationCertificate]]:
+def modification_certificate(sys: RefinementSystem, bf: PiecewiseBF, y: Point) -> Verdict:
     """Can the value at y be raised through its gap without leaving the class?
 
     Needs a gap below y, a gap above phi(y), and the raised linkage of
-    (suc phi(y), y) through some matched-tail cylinder; a Yes comes
-    with the first witnessing cylinder.  As in sigma_member, deeper
-    cylinders are subsets of shallower ones, so the raised linkage is
-    monotone in the level and the least witnessing level is searched for.
+    (suc phi(y), y) through some matched-tail cylinder.  A Yes carries
+    the least witnessing level m; its cylinder words are the first m
+    digits of suc phi(y) and of y.  As in sigma_member, deeper cylinders
+    are subsets of shallower ones, so the raised linkage is monotone in
+    the level and the least witnessing level is searched for.
     """
     if not has_gap_below(sys, y):
-        return VERDICT_NO, None
+        return VERDICT_NO
     fy = eval_bf(sys, bf, y)
     if not has_gap_above(sys, fy):
-        return VERDICT_NO, None
+        return VERDICT_NO
     target = suc(sys, fy)
     if not orbit_test(target, y):
-        return VERDICT_NO, None
-    verdict = _least_level(sys, bf, target, y, Strictness.RAISED)
-    if not verdict.is_yes:
-        return verdict, None
-    m = verdict.level
-    return verdict, ModificationCertificate(y, prefix_digits(target, m), prefix_digits(y, m))
+        return VERDICT_NO
+    return _least_level(sys, bf, target, y, Strictness.RAISED)
 
 
 def is_point_of_modification(sys: RefinementSystem, bf: PiecewiseBF, y: Point) -> bool:
-    return modification_certificate(sys, bf, y)[0].is_yes
+    return modification_certificate(sys, bf, y).is_yes
 
 
 def bf_plus(sys: RefinementSystem, f: PiecewiseBF) -> PiecewiseBF:

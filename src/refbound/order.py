@@ -169,6 +169,17 @@ class Point:
         return _unroll(self.preamble, self.period, n)
 
 
+def check_digits(word: Sequence[int], ks: Sequence[int]) -> None:
+    """Raise DigitRangeError unless each digit of word lies in 1..k at its position.
+
+    ks holds the multiplicities k_1, k_2, ... for at least len(word) positions.
+    """
+    if min(word, default=1) < 1 or not all(map(operator.le, word, ks)):
+        n, d, k = next((n, d, k) for n, (d, k) in enumerate(zip(word, ks), start=1)
+                       if not 1 <= d <= k)
+        raise DigitRangeError(f"digit {d} at position {n} outside 1..{k}")
+
+
 def point(sys: RefinementSystem, preamble: Sequence[int], period: Sequence[int]) -> Point:
     """Canonical point with the given digit string.
 
@@ -187,11 +198,7 @@ def point(sys: RefinementSystem, preamble: Sequence[int], period: Sequence[int])
             f"period length {ln} is not a multiple of cycle length {big_l}")
     # one full joint period past the prefix/preamble region covers all residues
     limit = max(sys.prefix_len, len(pre)) + ln
-    word, ks = _unroll(pre, per, limit), sys.k_word(limit)
-    if min(word) < 1 or not all(map(operator.le, word, ks)):
-        n, d, k = next((n, d, k) for n, (d, k) in enumerate(zip(word, ks), start=1)
-                       if not 1 <= d <= k)
-        raise DigitRangeError(f"digit {d} at position {n} outside 1..{k}")
+    check_digits(_unroll(pre, per, limit), sys.k_word(limit))
     lstar = next(d for d in range(1, ln + 1)
                  if ln % d == 0 and per[d:] + per[:d] == per)
     # lc divides ln, so pre + per holds every digit up to position m + lc
@@ -219,16 +226,38 @@ def _joint_words(x: Point, y: Point) -> tuple[int, tuple[int, ...], tuple[int, .
     return w, _unroll(x.preamble, x.period, span), _unroll(y.preamble, y.period, span)
 
 
+def _ordering_words(x: Point, y: Point) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # words that hold the first difference of x and y, if there is one.
+    # When neither period divides the other the joint span of
+    # _joint_words is longer than one period, so the prefix up to the
+    # longer preamble plus the longer period is compared first.
+    lx, ly = len(x.period), len(y.period)
+    span = max(len(x.preamble), len(y.preamble)) + (lx if lx > ly else ly)
+    a, b = _unroll(x.preamble, x.period, span), _unroll(y.preamble, y.period, span)
+    if lx % ly and ly % lx and a == b:
+        _, a, b = _joint_words(x, y)
+    return a, b
+
+
 def first_difference(x: Point, y: Point) -> Optional[int]:
     """First position where the digit strings differ, or None if equal."""
-    _, a, b = _joint_words(x, y)
+    a, b = _ordering_words(x, y)
     if a == b:
         return None
     return next(itertools.compress(itertools.count(1), map(operator.ne, a, b)))
 
 
 def order_compare(x: Point, y: Point) -> int:
-    _, a, b = _joint_words(x, y)
+    a, b = _ordering_words(x, y)
+    if a == b:
+        return 0
+    return -1 if a < b else 1
+
+
+def compare_beyond(x: Point, y: Point, n: int) -> int:
+    """Order of the digit strings of x and y from position n + 1 on."""
+    span = max(n, len(x.preamble), len(y.preamble)) + lcm(len(x.period), len(y.period))
+    a, b = x.word(span)[n:], y.word(span)[n:]
     if a == b:
         return 0
     return -1 if a < b else 1

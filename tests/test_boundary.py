@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from refbound import boundary
+from refbound import boundary, order
 from refbound.boundary import (
     ID,
     ID_MINUS,
@@ -37,6 +37,7 @@ from refbound.boundary import (
     leaf_value,
     normalize_bf,
     overlay,
+    plus_point,
     pointwise_le,
     sigma_member,
     validate_bf,
@@ -46,13 +47,19 @@ from refbound.idealsets import boundary_of
 from refbound.irreducibility import construct_family
 from refbound.oracle import _random_linked_pair, random_bf, random_module_expr, sample_points
 from refbound.order import (
+    DigitRangeError,
     EmptyIntervalError,
+    OrderInterval,
     RefinementSystem,
     construct_between,
+    cylinder_bounds,
+    format_system,
     has_gap_above,
     has_gap_below,
     interval,
+    interval_intersect,
     interval_small_points,
+    interval_sup,
     merge_level,
     orbit_test,
     order_compare,
@@ -63,7 +70,9 @@ from refbound.order import (
     parse_system,
     pred,
     prefix_digits,
+    prepend,
     suc,
+    tail_of,
 )
 
 BIN = RefinementSystem.make((), (2,))
@@ -303,6 +312,18 @@ class TestCylinderLinkage:
         assert not cylinder_within_eta(BIN, f, (2, 1), (2, 1), Strictness.STRICT)
         assert cylinder_within_eta(BIN, f, (1, 1), (2, 1), Strictness.STRICT)
 
+    def test_constant_cell_top_counts_only_when_attained(self):
+        # u w reaches the value x exactly at the top of the cell, so a
+        # strict test passes when that top is open and fails when closed
+        x = pt("|12")
+        for top_open, strict_ok in ((True, True), (False, False)):
+            f = PiecewiseBF((
+                (interval(BIN, LO, x, hi_open=top_open), Const(x)),
+                (interval(BIN, x, HI, lo_open=not top_open), Const(HI)),
+            ))
+            assert cylinder_within_eta(BIN, f, (1, 2), (1, 2))
+            assert cylinder_within_eta(BIN, f, (1, 2), (1, 2), Strictness.STRICT) is strict_ok
+
     def test_sigma_member_identity(self):
         f = identity_bf(BIN)
         assert sigma_member(BIN, f, pt("11|2"), pt("2|2")).is_yes
@@ -457,24 +478,23 @@ class TestLevelSearch:
             for seed in range(14, 22):
                 f, pool, _ = _search_cases(sys, seed)
                 for y in pool + [suc(sys, gap_point(sys, n)) for n in range(1, 7)]:
-                    got, cert = modification_certificate(sys, f, y)
+                    got = modification_certificate(sys, f, y)
                     fy = eval_bf(sys, f, y)
                     if not has_gap_below(sys, y) or not has_gap_above(sys, fy):
-                        assert got.is_no and cert is None
+                        assert got.is_no
                         continue
                     target = suc(sys, fy)
                     if not orbit_test(target, y):
-                        assert got.is_no and cert is None
+                        assert got.is_no
                         continue
                     want, _ = _scan_levels(sys, f, target, y, Strictness.RAISED)
                     assert got == want
                     if want.is_yes:
                         yes += 1
-                        m = want.level
-                        assert (cert.y, cert.u, cert.v) == (
-                            y, prefix_digits(target, m), prefix_digits(y, m))
-                    else:
-                        assert cert is None
+                        # the witnessing cylinder follows from the level
+                        m = got.level
+                        u, v = prefix_digits(target, m), prefix_digits(y, m)
+                        assert cylinder_within_eta(sys, f, u, v, Strictness.RAISED)
         assert yes > 0
 
     def test_coprime_plateau_needs_few_checks(self, monkeypatch):
@@ -488,9 +508,121 @@ class TestLevelSearch:
             calls.append(args)
             return real(*args)
 
+        points = []
+        real_point = order.point
+
+        def counted_point(*args):
+            points.append(args)
+            return real_point(*args)
+
         monkeypatch.setattr(boundary, "cylinder_within_eta", counted)
+        monkeypatch.setattr(order, "point", counted_point)
         assert sigma_member(BIN, f, x, x).is_no
         assert len(calls) <= 40
+        # the checks read digit words and build no points
+        assert points == []
+
+
+# ---------------------------------------------------------------------------
+# the word-based linkage test against the point-based one
+
+LINK_SYSTEMS = [parse_system(t) for t in (";2", ";2,3", "3;2", ";11", "2;2,2,3", "12;2,13")]
+LINK_LEVELS = (0, 1, 2, 3, 4, 5, 6, 9, 15, 31)
+
+
+def _cylinder_by_points(sys, bf, u, v, strictness):
+    """Reference: intersect each piece with the v-cylinder as an order
+    interval and compare u followed by the top tail of the cell as a point."""
+    u, v = tuple(u), tuple(v)
+    n = len(v)
+    cyl = interval(sys, *cylinder_bounds(sys, v))
+    for ival, leaf in bf.pieces:
+        cell = interval_intersect(sys, ival, cyl)
+        if cell is None:
+            continue
+        if leaf == ID:
+            if not (u < v if strictness is Strictness.STRICT else u <= v):
+                return False
+        elif leaf == ID_MINUS:
+            if u > v or (u == v and strictness is Strictness.STRICT):
+                return False
+            if u == v and strictness is Strictness.NONSTRICT:
+                pts = interval_small_points(sys, cell)
+                if pts is None or any(has_gap_below(sys, z) for z in pts):
+                    return False
+        else:
+            target = leaf.value
+            if strictness is Strictness.RAISED:
+                target = plus_point(sys, target)
+            tails = interval(sys.shift(n), tail_of(sys, cell.lo, n), tail_of(sys, cell.hi, n),
+                             cell.lo_open, cell.hi_open)
+            w_sup, attained = interval_sup(sys.shift(n), tails)
+            c = order_compare(prepend(sys, u, w_sup), target)
+            if c > 0 or (c == 0 and attained and strictness is Strictness.STRICT):
+                return False
+    return True
+
+
+def _raw_spellings(sys, f):
+    """f, f with every closed end that has a gap on its outer side written
+    as an open end across that gap, and f with the ends of every piece
+    swapped and one end opened (empty pieces, which the test must skip;
+    a one-point piece becomes (x, x] or [x, x))."""
+    opened, swapped = [], []
+    for i, (ival, leaf) in enumerate(f.pieces):
+        lo, lo_open, hi, hi_open = ival.lo, ival.lo_open, ival.hi, ival.hi_open
+        if not lo_open and has_gap_below(sys, lo):
+            lo, lo_open = pred(sys, lo), True
+        if not hi_open and has_gap_above(sys, hi):
+            hi, hi_open = suc(sys, hi), True
+        opened.append((OrderInterval(lo, hi, lo_open, hi_open), leaf))
+        swapped.append((OrderInterval(ival.hi, ival.lo, i % 2 == 0, i % 2 == 1), leaf))
+    return f, PiecewiseBF(tuple(opened), f.mode), PiecewiseBF(tuple(swapped), f.mode)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DigitRangeError as e:
+        return ("DigitRangeError", str(e))
+
+
+class TestWordLinkage:
+    def test_matches_point_based_reference(self):
+        seen = Counter()
+        for sys in LINK_SYSTEMS:
+            for seed in range(4):
+                rng = random.Random(seed)
+                # a lawful function, and a partition with any leaves
+                f = random_bf(sys, rng) if seed % 2 else _random_partition(sys, rng)
+                pool = sample_points(sys, seed, 6, 5, 3)
+                ends = [z for ival, leaf in f.pieces for z in (ival.lo, ival.hi)
+                        + ((leaf.value, plus_point(sys, leaf.value))
+                           if isinstance(leaf, Const) else ())]
+                for g in _raw_spellings(sys, f):
+                    for n in LINK_LEVELS:
+                        words = [prefix_digits(z, n) for z in ends + pool]
+                        for _ in range(6):
+                            u, v = rng.choice(words), rng.choice(words)
+                            if rng.random() < 0.5:
+                                # v at a piece end, u at its value or at v
+                                ival, leaf = rng.choice(f.pieces)
+                                v = prefix_digits(rng.choice((ival.lo, ival.hi)), n)
+                                u = prefix_digits(leaf.value, n) \
+                                    if isinstance(leaf, Const) and rng.random() < 0.7 else v
+                            if n and rng.random() < 0.2:
+                                # a digit outside 1..k_i in u or in v
+                                i = rng.randrange(n)
+                                bad = rng.choice((0, sys.k_at(i + 1) + 1))
+                                w = (u, v)[rng.randrange(2)]
+                                w = w[:i] + (bad,) + w[i + 1:]
+                                u, v = (w, v) if rng.random() < 0.5 else (u, w)
+                            for st in Strictness:
+                                got = _outcome(cylinder_within_eta, sys, g, u, v, st)
+                                want = _outcome(_cylinder_by_points, sys, g, u, v, st)
+                                assert got == want, (format_system(sys), g, u, v, st)
+                                seen[got if isinstance(got, bool) else "error"] += 1
+        assert all(seen[k] > 0 for k in (True, False, "error"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from refbound.order import (
     Point,
     RefinementError,
     RefinementSystem,
+    compare_beyond,
     construct_between,
     construct_between_no_gap_below,
     cylinder_bounds,
@@ -521,13 +522,23 @@ class TestAgainstDigitReference:
                 assert outcome(prepend, sys, w, t) == outcome(ref_prepend, sys, w, t)
         for _ in range(600):
             x = rng.choice(points)
-            if rng.random() < 0.3:  # an orbit mate that agrees with x deep into its digits
+            r = rng.random()
+            if r < 0.3:  # an orbit mate that agrees with x deep into its digits
                 m = rng.randint(0, len(x.preamble) + len(x.period) + 2)
                 y = replace_prefix(sys, x, raw_digits(rng, sys, 1, m, bad=False))
+            elif r < 0.45:
+                # one cycle more of x's period: neither period need divide the
+                # other, and the digits agree beyond the longer one
+                y = outcome(point, sys, x.preamble, x.period + x.period[:L])
+                if not isinstance(y, Point):
+                    y = rng.choice(points)
             else:
                 y = rng.choice(points)
             assert first_difference(x, y) == ref_first_difference(x, y)
             assert order_compare(x, y) == ref_compare(x, y)
+            m = rng.randint(0, len(x.preamble) + len(x.period) + 2)
+            assert compare_beyond(x, y, m) == ref_compare(ref_tail_of(sys, x, m),
+                                                          ref_tail_of(sys, y, m))
             assert orbit_test(x, y) == ref_orbit(x, y)
             assert outcome(merge_level, x, y) == outcome(ref_merge_level, x, y)
 
