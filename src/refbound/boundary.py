@@ -125,13 +125,15 @@ def leaf_inf(sys: RefinementSystem, ival: OrderInterval, leaf: Leaf) -> tuple[Po
     return m, False
 
 
-@dataclass(eq=False, frozen=True)
+@dataclass(frozen=True)
 class PiecewiseBF:
-    """Piecewise boundary function.
+    """Piecewise boundary function in its normal form.
 
     Many piece lists spell one function; normalize_bf picks the
-    canonical one, and bf_eq compares canonical pieces.  Dataclass
-    equality, which would compare spellings, is disabled.
+    canonical one.  Build through make_bf, parse_bf, normalize_bf or a
+    library operation, which all return that spelling, so == and hash
+    compare functions.  Pieces spelled by hand compare as spelled until
+    they go through normalize_bf.
     """
 
     pieces: tuple[Piece, ...]
@@ -231,7 +233,10 @@ def normalize_bf(sys: RefinementSystem, bf: PiecewiseBF) -> PiecewiseBF:
     functions normalize to equal pieces.  One left-to-right sweep:
     small pieces are split into points, then each piece settles
     against the top of a stack.  The pieces must partition the points
-    in order (the Partition law of validate_bf).
+    in order (the Partition law of validate_bf).  make_bf and the
+    companion and lattice operations call it once on the pieces they
+    build; a function they return is its own normal form.  Call it on
+    pieces spelled by hand before comparing or classifying them.
     """
     out: list[tuple[OrderInterval, Leaf, Optional[list[Point]]]] = []
     for ival, leaf in bf.pieces:
@@ -344,10 +349,10 @@ def overlay(sys: RefinementSystem, f: PiecewiseBF,
 def bf_eq(sys: RefinementSystem, f: PiecewiseBF, g: PiecewiseBF) -> bool:
     """Extensional equality: the same mode and the same value at every point.
 
-    The normal form is canonical, so this compares normalized pieces.
+    Both functions are in the normal form, which is canonical, so this
+    is f == g.
     """
-    return f.mode is g.mode and \
-        normalize_bf(sys, f).pieces == normalize_bf(sys, g).pieces
+    return f == g
 
 
 def _cell_le(sys: RefinementSystem, cell: OrderInterval, lf: Leaf, lg: Leaf) -> bool:
@@ -837,10 +842,9 @@ def _format_leaf(sys: RefinementSystem, leaf: Leaf) -> str:
 def format_bf(sys: RefinementSystem, bf: PiecewiseBF) -> str:
     """Literal form: `[lo, hi] -> leaf` pieces joined by `;`.
 
-    The normal form is printed, so parse_bf(format_bf(f)) has the
-    same pieces as normalize_bf(f).
+    The pieces are printed as spelled, which is the normal form, so
+    parse_bf(format_bf(f)) == f.
     """
-    bf = normalize_bf(sys, bf)
     bits = []
     for ival, leaf in bf.pieces:
         lo_br = "(" if ival.lo_open else "["
@@ -937,12 +941,7 @@ def _lattice(sys: RefinementSystem, f: PiecewiseBF, g: PiecewiseBF,
     pieces: list[Piece] = []
     for cell, lf, lg in overlay(sys, f, g):
         pieces.extend(_cell_lattice(sys, cell, lf, lg, join))
-    out = normalize_bf(sys, PiecewiseBF(tuple(pieces), f.mode))
-    violations = validate_bf(sys, out)
-    if violations:
-        raise RefinementError(
-            f"lattice result failed validation, which should be impossible: {violations}")
-    return out
+    return normalize_bf(sys, PiecewiseBF(tuple(pieces), f.mode))
 
 
 def bf_join(sys: RefinementSystem, f: PiecewiseBF, g: PiecewiseBF) -> PiecewiseBF:

@@ -30,7 +30,6 @@ from .boundary import (
     VERDICT_NO,
     Verdict,
     Violation,
-    bf_eq,
     bf_join,
     bf_meet,
     bf_minus,
@@ -40,7 +39,6 @@ from .boundary import (
     identity_bf,
     make_bf,
     minus_point,
-    normalize_bf,
     sigma_member,
     verdict_unknown,
     verdict_yes,
@@ -257,14 +255,6 @@ def finite_level(sys: RefinementSystem, level: int, pairs,
     return FiniteLevel(close_finite_level(sys, level, pairs, mode))
 
 
-def sigma_open(bf: PiecewiseBF) -> OfBFOpen:
-    return OfBFOpen(bf)
-
-
-def sigma_closed(bf: PiecewiseBF) -> OfBFClosed:
-    return OfBFClosed(bf)
-
-
 def expr_mode(expr) -> Mode:
     return Mode.MODULE if isinstance(expr, Module) else Mode.IDEAL
 
@@ -386,9 +376,9 @@ def _boundary(sys, expr, mode) -> PiecewiseBF:
     if isinstance(expr, FiniteLevel):
         return make_bf(sys, _finite_level_pieces(sys, expr.units, mode), mode)
     if isinstance(expr, OfBFOpen):
-        return bf_minus(sys, normalize_bf(sys, expr.bf))
+        return bf_minus(sys, expr.bf)
     if isinstance(expr, OfBFClosed):
-        return normalize_bf(sys, expr.bf)
+        return expr.bf
     if isinstance(expr, Union):
         acc = const_bf(sys, lo, mode)
         for part in expr.parts:
@@ -857,19 +847,17 @@ def in_L_phi(sys: RefinementSystem, bf: PiecewiseBF, y: Point,
     return in_B_phi(sys, bf, y, depth_cap)
 
 
-def sandwich_check(sys: RefinementSystem, expr, bf: PiecewiseBF,
+def sandwich_check(sys: RefinementSystem, expr, phi: PiecewiseBF,
                    depth_cap: Optional[int] = None) -> Verdict:
-    """Is bf the boundary function of the expression?
+    """Is phi the boundary function of the expression?
 
-    Decided by piecewise equality of boundary_of(expr) with bf.  A Yes
+    Decided by piecewise equality of boundary_of(expr) with phi.  A Yes
     is cross-checked against the squeeze every such set satisfies:
     the strict sub-level pairs and the attained gap values sit inside,
     and the set sits inside the neighborhood hull.  A failed cross
     check raises: it would contradict the equality just computed.
     """
-    phi = normalize_bf(sys, bf)
-    got = boundary_of(sys, expr)
-    if not bf_eq(sys, got, phi):
+    if boundary_of(sys, expr) != phi:
         return VERDICT_NO
     unknown = None
     for x, y in _sample_pairs(sys, expr):

@@ -23,7 +23,6 @@ from .boundary import (
     IdentityMinus,
     Mode,
     PiecewiseBF,
-    bf_eq,
     bf_join,
     bf_meet,
     const_bf,
@@ -31,7 +30,6 @@ from .boundary import (
     level_set_max,
     make_bf,
     minus_point,
-    normalize_bf,
     plus_point,
 )
 from .idealsets import (
@@ -144,7 +142,6 @@ def _part(sys, lo, hi, lo_open, hi_open, kind) -> Optional[IntervalPart]:
 def range_and_drop(sys: RefinementSystem,
                    bf: PiecewiseBF) -> tuple[SymbolicSet, DropDescriptor]:
     """Exact image of the function, plus its drop sets."""
-    bf = normalize_bf(sys, bf)
     ran_parts, ran_points = [], []
     ed_parts, rd_parts, rd_points = [], [], []
     for ival, leaf in bf.pieces:
@@ -193,41 +190,39 @@ class BFForm:
 
     tag: str  # identity | minimal | phi_ab | psi_paab | phi_at | general
     params: tuple = ()
-    canonical: Optional[PiecewiseBF] = None
 
 
 def bf_form(sys: RefinementSystem, bf: PiecewiseBF) -> BFForm:
-    phi = normalize_bf(sys, bf)
-    pieces = phi.pieces
+    pieces = bf.pieces
     shape = "".join("I" if leaf == ID else
                     "C" if isinstance(leaf, Const) else "M"
                     for _, leaf in pieces)
     bottom = p_min(sys)
     if shape == "I":
-        return BFForm("identity", (), phi)
+        return BFForm("identity")
     if shape == "C":
         if pieces[0][1].value == bottom:
-            return BFForm("minimal", (), phi)
-        return BFForm("general", (), phi)
+            return BFForm("minimal")
+        return BFForm("general")
     if shape in ("IC", "CI", "ICI"):
         ival, leaf = pieces[shape.index("C")]
         a = leaf.value
         if ival.lo == plus_point(sys, a):
-            return BFForm("phi_ab", (a, ival.hi), phi)
-        return BFForm("general", (), phi)
+            return BFForm("phi_ab", (a, ival.hi))
+        return BFForm("general")
     if shape == "CC":
         (iv1, c1), (_, c2) = pieces
         if c1.value == bottom and lt(bottom, c2.value):
-            return BFForm("phi_at", (c2.value, iv1.hi), phi)
-        return BFForm("general", (), phi)
+            return BFForm("phi_at", (c2.value, iv1.hi))
+        return BFForm("general")
     if shape in ("ICC", "ICCI"):
         (iv1, c1), (iv2, c2) = pieces[1], pieces[2]
         v1, v2 = c1.value, c2.value
         if (has_gap_above(sys, v1) and suc(sys, v1) == v2
                 and iv2.lo == iv2.hi and iv1.lo == v2):
-            return BFForm("psi_paab", (v1, v2, iv2.lo), phi)
-        return BFForm("general", (), phi)
-    return BFForm("general", (), phi)
+            return BFForm("psi_paab", (v1, v2, iv2.lo))
+        return BFForm("general")
+    return BFForm("general")
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +320,15 @@ def _split_bf(sys, bf: PiecewiseBF, t: Point, left, right) -> PiecewiseBF:
 
 
 def _check_witnesses(sys, phi, w1, w2, combine, what: str) -> None:
-    if bf_eq(sys, w1, phi) or bf_eq(sys, w2, phi):
+    if w1 == phi or w2 == phi:
         raise _internal(f"{what} witness equals the function")
-    if not bf_eq(sys, combine(sys, w1, w2), phi):
+    if combine(sys, w1, w2) != phi:
         raise _internal(f"{what} witnesses do not recompose the function")
 
 
-def classify_meet_bf(sys: RefinementSystem, bf: PiecewiseBF) -> MeetClass:
+def classify_meet_bf(sys: RefinementSystem, phi: PiecewiseBF) -> MeetClass:
     """Meet irreducibility, decided by the set of dropped-to values."""
-    _require_ideal(bf)
-    phi = normalize_bf(sys, bf)
+    _require_ideal(phi)
     _, drop = range_and_drop(sys, phi)
     vals = set_values(sys, drop.rd)
 
@@ -357,7 +351,7 @@ def classify_meet_bf(sys: RefinementSystem, bf: PiecewiseBF) -> MeetClass:
         if has_gap_below(sys, a):
             raise _internal("single dropped-to value sits above a gap")
         b = _drop_sup(sys, phi)
-        if not bf_eq(sys, phi, construct_family(sys, "phi_ab", a=a, b=b)):
+        if phi != construct_family(sys, "phi_ab", a=a, b=b):
             raise _internal("single-value drop is not the plateau form")
         return MeetClass("phi_ab", (a, b))
 
@@ -368,7 +362,7 @@ def classify_meet_bf(sys: RefinementSystem, bf: PiecewiseBF) -> MeetClass:
         if got is None or not got[1]:
             raise _internal("upper gap value never attained")
         b = got[0]
-        if not bf_eq(sys, phi, construct_family(sys, "psi_paab", a=a, b=b)):
+        if phi != construct_family(sys, "psi_paab", a=a, b=b):
             raise _internal("gap-pair drop is not the stepped form")
         return MeetClass("psi_paab", (pa, a, b))
 
@@ -407,10 +401,9 @@ def _reduce_meet(sys, phi, a: Point, c: Point) -> MeetClass:
     return MeetClass("reducible", (), (w1, w2))
 
 
-def classify_join_bf(sys: RefinementSystem, bf: PiecewiseBF) -> JoinClass:
+def classify_join_bf(sys: RefinementSystem, phi: PiecewiseBF) -> JoinClass:
     """Join irreducibility, decided by the size of the image."""
-    _require_ideal(bf)
-    phi = normalize_bf(sys, bf)
+    _require_ideal(phi)
     ran, _ = range_and_drop(sys, phi)
     vals = set_values(sys, ran)
     bottom = p_min(sys)
@@ -434,7 +427,7 @@ def classify_join_bf(sys: RefinementSystem, bf: PiecewiseBF) -> JoinClass:
         a = vals[1]
         s = _sup_leq(sys, phi, bottom)
         t = s if eval_bf(sys, phi, s) == bottom else pred(sys, s)
-        if not bf_eq(sys, phi, construct_family(sys, "phi_at", a=a, t=t)):
+        if phi != construct_family(sys, "phi_at", a=a, t=t):
             raise _internal("two-valued function is not the step form")
         return JoinClass("phi_at", (a, t))
 

@@ -330,16 +330,6 @@ def has_gap_below(sys: RefinementSystem, x: Point) -> bool:
     return x != p_min(sys)
 
 
-@dataclass(frozen=True)
-class GapProbe:
-    above: bool
-    below: bool
-
-
-def gap_probe(sys: RefinementSystem, x: Point) -> GapProbe:
-    return GapProbe(has_gap_above(sys, x), has_gap_below(sys, x))
-
-
 def suc(sys: RefinementSystem, x: Point) -> Point:
     if not has_gap_above(sys, x):
         raise ValueError("point has no immediate successor")

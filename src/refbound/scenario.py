@@ -29,7 +29,9 @@ Grammar, one statement per line, `#` starts a comment:
     paper-examples GROUP expect ok
 
 P is a declared point name or an inline literal (it contains `|`);
-I and F are declared names; W is a digit word.
+I and F are declared names; W is a digit word.  A statement takes
+exactly the arguments shown; a surplus token is an error located at
+the first one.
 """
 
 from __future__ import annotations
@@ -124,9 +126,19 @@ class ScenarioOutcome:
 
 
 _WORD_PAIR = re.compile(r"^\(([0-9.]+),([0-9.]+)\)$")
-_VERBS = ("eval", "member", "boundary", "minus", "plus", "lattice",
-          "classify", "equiv", "sandwich", "suite", "paper-examples")
+# keyword -> number of arguments it takes; union, intersection and
+# finite take any number
+_IDEAL_ARGS = {"empty": 0, "full": 0, "strip": 2, "strip_plus": 2, "corner": 2,
+               "module": 1, "open": 1, "hull": 1}
+_BF_ARGS = {"identity": 0, "const": 1, "boundary": 1, "minus": 1, "plus": 1,
+            "join": 2, "meet": 2, "family": 3}
+_VERB_ARGS = {"eval": 2, "member": 3, "boundary": 1, "minus": 1, "plus": 1,
+              "lattice": 3, "classify": 2, "equiv": 2, "sandwich": 2, "suite": 1,
+              "paper-examples": 1}
 _VERDICTS = ("yes", "no", "unknown")
+# classification mode -> the kinds its verdict can take
+_BF_KINDS = {"meet": ("identity_form", "phi_ab", "psi_paab", "reducible"),
+             "join": ("minimal_form", "phi_at", "reducible")}
 
 
 def _tokens(line: str):
@@ -159,6 +171,12 @@ class _Engine:
             last = toks[-1][1] + len(toks[-1][0]) if toks else 1
             self._fail(line, last, f"expected {what}")
         return toks[i]
+
+    def _no_surplus(self, toks, n, line):
+        """Reject any token past the first n, located at the first one."""
+        if len(toks) > n:
+            tok, col = toks[n]
+            self._fail(line, col, f"unexpected {tok!r}")
 
     def _point(self, tok, col, line):
         if tok in self.points:
@@ -193,13 +211,14 @@ class _Engine:
             self._decl_ideal(line, text, toks)
         elif head == "bf":
             self._decl_bf(line, text, toks)
-        elif head in _VERBS:
+        elif head in _VERB_ARGS:
             self._run_verb(head, line, text, toks)
         else:
             self._fail(line, col, f"unknown command {head!r}")
 
     def _decl_system(self, line, toks):
         tok, col = self._take(toks, 1, line, "a system literal")
+        self._no_surplus(toks, 2, line)
         if self.sys is not None:
             self._fail(line, col, "system is already set")
         try:
@@ -219,6 +238,7 @@ class _Engine:
     def _decl_point(self, line, toks):
         name = self._decl_name(toks, line, "point", self.points)
         tok, col = self._take(toks, 3, line, "a point literal")
+        self._no_surplus(toks, 4, line)
         s = self._system_or_fail(line, col)
         try:
             self.points[name] = parse_point(s, tok)
@@ -228,9 +248,10 @@ class _Engine:
     def _decl_ideal(self, line, text, toks):
         name = self._decl_name(toks, line, "ideal", self.ideals)
         kw, col = self._take(toks, 3, line, "an ideal constructor")
-        rest = toks[4:]
+        if kw in _IDEAL_ARGS:
+            self._no_surplus(toks, 4 + _IDEAL_ARGS[kw], line)
         s = self._system_or_fail(line, col)
-        expr = self._build_ideal(kw, col, rest, line)
+        expr = self._build_ideal(kw, col, toks[4:], line)
         bad = validate_ideal_expr(s, expr)
         if bad:
             self._fail(line, col, "; ".join(v.detail for v in bad))
@@ -287,40 +308,42 @@ class _Engine:
     def _decl_bf(self, line, text, toks):
         name = self._decl_name(toks, line, "boundary function", self.bfs)
         kw, col = self._take(toks, 3, line, "a function constructor")
-        rest = toks[4:]
+        if kw in _BF_ARGS:
+            self._no_surplus(toks, 4 + _BF_ARGS[kw], line)
         s = self._system_or_fail(line, col)
         try:
-            bf = self._build_bf(kw, col, rest, line)
+            bf = self._build_bf(kw, col, toks, 4, line)
         except (ValueError, RefinementError) as err:
             self._fail(line, col, str(err))
         self.bfs[name] = bf
         self.out.results.append(CommandResult(
             line, text, "ok", format_bf(s, bf)))
 
-    def _build_bf(self, kw, col, rest, line):
+    def _build_bf(self, kw, col, toks, i, line):
+        """The function kw builds from the arguments toks[i:]."""
         s = self.sys
         if kw == "identity":
             return identity_bf(s)
         if kw == "const":
-            tok, tcol = self._take(rest, 0, line, "a point")
+            tok, tcol = self._take(toks, i, line, "a point")
             return const_bf(s, self._point(tok, tcol, line))
         if kw == "boundary":
-            tok, tcol = self._take(rest, 0, line, "an ideal name")
+            tok, tcol = self._take(toks, i, line, "an ideal name")
             return boundary_of(s, self._ideal(tok, tcol, line))
         if kw in ("minus", "plus"):
-            tok, tcol = self._take(rest, 0, line, "a function name")
+            tok, tcol = self._take(toks, i, line, "a function name")
             f = self._bf(tok, tcol, line)
             return bf_minus(s, f) if kw == "minus" else bf_plus(s, f)
         if kw in ("join", "meet"):
-            f_tok, f_col = self._take(rest, 0, line, "a function name")
-            g_tok, g_col = self._take(rest, 1, line, "a function name")
+            f_tok, f_col = self._take(toks, i, line, "a function name")
+            g_tok, g_col = self._take(toks, i + 1, line, "a function name")
             f = self._bf(f_tok, f_col, line)
             g = self._bf(g_tok, g_col, line)
             return bf_join(s, f, g) if kw == "join" else bf_meet(s, f, g)
         if kw == "family":
-            fam, fam_col = self._take(rest, 0, line, "a family name")
-            a_tok, a_col = self._take(rest, 1, line, "a point")
-            b_tok, b_col = self._take(rest, 2, line, "a point")
+            fam, fam_col = self._take(toks, i, line, "a family name")
+            a_tok, a_col = self._take(toks, i + 1, line, "a point")
+            b_tok, b_col = self._take(toks, i + 2, line, "a point")
             a = self._point(a_tok, a_col, line)
             b = self._point(b_tok, b_col, line)
             if fam == "phi_at":
@@ -354,6 +377,7 @@ class _Engine:
 
     def _run_verb(self, head, line, text, toks):
         left, (want, want_col) = self._split_expect(toks, line)
+        self._no_surplus(left, 1 + _VERB_ARGS[head], line)
         args = left[1:]
         if head not in ("suite", "paper-examples"):
             s = self._system_or_fail(line, left[0][1])
@@ -380,29 +404,14 @@ class _Engine:
             got = member(s, expr, x, y, self.depth_cap)
             self._record(line, text, got.kind == wanted, got.kind)
 
-        elif head == "boundary":
-            i_tok, i_col = self._take(args, 0, line, "an ideal name")
-            expr = self._ideal(i_tok, i_col, line)
-            got = boundary_of(s, expr)
-            wanted = self._bf(want, want_col, line)
-            self._record(line, text, bf_eq(s, got, wanted), format_bf(s, got))
-
-        elif head in ("minus", "plus"):
-            f_tok, f_col = self._take(args, 0, line, "a function name")
-            f = self._bf(f_tok, f_col, line)
-            got = bf_minus(s, f) if head == "minus" else bf_plus(s, f)
-            wanted = self._bf(want, want_col, line)
-            self._record(line, text, bf_eq(s, got, wanted), format_bf(s, got))
-
-        elif head == "lattice":
-            op_tok, op_col = self._take(args, 0, line, "'join' or 'meet'")
-            if op_tok not in ("join", "meet"):
-                self._fail(line, op_col, "expected 'join' or 'meet'")
-            f_tok, f_col = self._take(args, 1, line, "a function name")
-            g_tok, g_col = self._take(args, 2, line, "a function name")
-            f = self._bf(f_tok, f_col, line)
-            g = self._bf(g_tok, g_col, line)
-            got = bf_join(s, f, g) if op_tok == "join" else bf_meet(s, f, g)
+        elif head in ("boundary", "minus", "plus", "lattice"):
+            if head == "lattice":
+                kw, kw_col = self._take(args, 0, line, "'join' or 'meet'")
+                if kw not in ("join", "meet"):
+                    self._fail(line, kw_col, "expected 'join' or 'meet'")
+                got = self._build_bf(kw, kw_col, args, 1, line)
+            else:
+                got = self._build_bf(head, left[0][1], args, 0, line)
             wanted = self._bf(want, want_col, line)
             self._record(line, text, bf_eq(s, got, wanted), format_bf(s, got))
 
@@ -464,7 +473,11 @@ class _Engine:
         s = self.sys
         mode_tok, mode_col = self._take(args, 0, line, "a classification mode")
         arg_tok, arg_col = self._take(args, 1, line, "a name")
-        if mode_tok in ("meet", "join"):
+        if mode_tok in _BF_KINDS:
+            kinds = _BF_KINDS[mode_tok]
+            if want not in kinds:
+                self._fail(line, want_col,
+                           f"expected {', '.join(kinds[:-1])} or {kinds[-1]}")
             f = self._bf(arg_tok, arg_col, line)
             verdict = (classify_meet_bf(s, f) if mode_tok == "meet"
                        else classify_join_bf(s, f))

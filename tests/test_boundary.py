@@ -26,6 +26,7 @@ from refbound.boundary import (
     cylinder_within_eta,
     eta_member,
     eval_bf,
+    format_bf,
     identity_bf,
     is_point_of_modification,
     leaf_inf,
@@ -37,6 +38,7 @@ from refbound.boundary import (
     leaf_value,
     normalize_bf,
     overlay,
+    parse_bf,
     plus_point,
     pointwise_le,
     sigma_member,
@@ -45,7 +47,13 @@ from refbound.boundary import (
 from refbound.cocycle import gap_point
 from refbound.idealsets import boundary_of
 from refbound.irreducibility import construct_family
-from refbound.oracle import _random_linked_pair, random_bf, random_module_expr, sample_points
+from refbound.oracle import (
+    _random_linked_pair,
+    random_bf,
+    random_ideal_expr,
+    random_module_expr,
+    sample_points,
+)
 from refbound.order import (
     DigitRangeError,
     EmptyIntervalError,
@@ -734,7 +742,7 @@ class TestCanonicalForm:
                 for g, k in zip(pool[i:], norms[i:]):
                     same = _values_equal(sys, f, g)
                     assert (n.pieces == k.pieces) == same
-                    assert bf_eq(sys, f, g) == (same and f.mode is g.mode)
+                    assert bf_eq(sys, n, k) == (same and f.mode is g.mode)
                     if same:
                         seen["equal, spelled alike" if f.pieces == g.pieces
                              else "equal, spelled apart" if f.mode is g.mode
@@ -743,6 +751,25 @@ class TestCanonicalForm:
                         seen["unequal"] += 1
         assert all(seen[k] > 0 for k in (
             "equal, spelled alike", "equal, spelled apart", "equal, modes apart", "unequal"))
+
+    def test_library_results_are_normal_forms(self):
+        for sys in SEARCH_SYSTEMS:
+            rng = random.Random(f"library {sys}")
+            made = [identity_bf(sys), identity_bf(sys, Mode.MODULE)]
+            for _ in range(8):
+                f, g = random_bf(sys, rng), random_bf(sys, rng)
+                lattice = [bf_join(sys, f, g), bf_meet(sys, f, g)]
+                for h in lattice:
+                    assert validate_bf(sys, h) == [], format_bf(sys, h)
+                made += [f, bf_minus(sys, f), bf_plus(sys, f), *lattice,
+                         boundary_of(sys, random_ideal_expr(sys, rng, 2)),
+                         boundary_of(sys, random_module_expr(sys, rng))]
+            for h in made:
+                assert normalize_bf(sys, h) == h
+                back = parse_bf(sys, format_bf(sys, h))
+                assert back == h and hash(back) == hash(h)
+                again = normalize_bf(sys, _respell(sys, h, rng))
+                assert again == h and hash(again) == hash(h)
 
     def test_any_partition_has_one_normal_form(self):
         for sys in SEARCH_SYSTEMS:

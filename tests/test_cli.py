@@ -90,6 +90,18 @@ class TestScenarioGrammar:
         ("system ;2\nbf f = identity\nbf f = identity", 3, 4),
         ("system ;2\nbf f = identity\nequiv f f expect maybe", 3, 18),
         ("paper-examples nowhere expect ok", 1, 16),
+        # surplus tokens, located at the first one
+        ("system ;2 ;3", 1, 11),
+        ("system ;2\npoint a = |1 |2", 2, 14),
+        ("system ;2\nideal A = strip |1 |2 |12", 2, 23),
+        ("system ;2\nbf f = identity junk", 2, 17),
+        ("system ;2\nbf f = identity\neval f |1 |2 expect |1", 3, 11),
+        ("system ;2\nbf f = identity\nminus f f expect f", 3, 9),
+        # a missing argument sits past the last token
+        ("system ;2\nbf f = const", 2, 13),
+        # a kind the classification never returns
+        ("system ;2\nbf f = identity\nclassify meet f expect bogus", 3, 24),
+        ("system ;2\nbf f = identity\nclassify join f expect phi_ab", 3, 24),
     ])
     def test_errors_carry_position(self, text, line, col):
         with pytest.raises(ScenarioError) as err:

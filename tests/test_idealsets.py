@@ -51,8 +51,6 @@ from refbound.idealsets import (
     module,
     restrict_to_level,
     sandwich_check,
-    sigma_closed,
-    sigma_open,
     tailset_contains,
     tailset_intersect,
     tailset_is_all,
@@ -200,11 +198,6 @@ class TestSubLevelSets:
         assert capped.is_unknown
         full = member(BIN, OfBFClosed(psi), x, y)
         assert full.is_yes and full.level == 2
-
-    def test_constructor_aliases(self):
-        phi = self.phi()
-        assert sigma_open(phi) == OfBFOpen(phi)
-        assert sigma_closed(phi) == OfBFClosed(phi)
 
 
 class TestBoundaries:

@@ -29,12 +29,10 @@ from refbound.oracle import (
     build_finite_model,
     describe_expr,
     enumerate_closed_sets,
-    merge_reports,
     random_bf,
     random_ideal_expr,
     random_module_expr,
     random_units,
-    run_all_suites,
     run_suite,
     sample_points,
 )
@@ -233,22 +231,6 @@ class TestReports:
         assert SuiteReport("s", ";2", 0, 1, 1, ()).ok
         assert not SuiteReport("s", ";2", 0, 1, 1, (v,)).ok
 
-    def test_merge_is_associative(self):
-        a = run_suite("lemma10", BIN, seed=1)
-        b = run_suite("lemma10", BIN, seed=2, budget=2)
-        c = run_suite("lemma10", BIN, seed=3)
-        left = merge_reports(merge_reports(a, b), c)
-        right = merge_reports(a, merge_reports(b, c))
-        assert left.to_json() == right.to_json()
-        assert left.samples == a.samples + b.samples + c.samples
-        assert left.budget == 4
-
-    def test_merge_rejects_mismatch(self):
-        a = run_suite("lemma10", BIN)
-        b = run_suite("prop1", BIN)
-        with pytest.raises(ValueError):
-            merge_reports(a, b)
-
 
 class TestRunSuite:
     def test_unknown_name(self):
@@ -280,8 +262,3 @@ class TestRunSuite:
         for name in ("def-biconditions", "oracle-equivalence", "cocycle"):
             rep = run_suite(name, sysp, seed=0)
             assert rep.ok and rep.samples > 0
-
-    def test_run_all(self):
-        reports = run_all_suites(BIN, seed=0, budget=1)
-        assert tuple(r.suite for r in reports) == SUITE_NAMES
-        assert all(r.ok for r in reports)

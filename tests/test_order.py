@@ -17,7 +17,6 @@ from refbound.order import (
     first_difference,
     format_point,
     format_system,
-    gap_probe,
     has_gap_above,
     has_gap_below,
     interval,
@@ -187,10 +186,10 @@ class TestGaps:
         assert not has_gap_above(BIN, s)
 
     def test_gap_probe(self):
-        g = gap_probe(K23, pt(K23, "21|23"))
-        assert g.above and not g.below
-        g = gap_probe(K23, pt(K23, "2|11"))
-        assert g.below and not g.above
+        x = pt(K23, "21|23")
+        assert has_gap_above(K23, x) and not has_gap_below(K23, x)
+        y = pt(K23, "2|11")
+        assert has_gap_below(K23, y) and not has_gap_above(K23, y)
 
     def test_suc_pred_roundtrip(self):
         for text in ("1|32", "11|23", "211|32"):

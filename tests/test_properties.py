@@ -29,23 +29,16 @@ from refbound.boundary import (
 )
 from refbound.cocycle import b_approx, btilde, ctilde, gap_index, gap_point, order_by_cocycle
 from refbound.idealsets import (
+    OfBFClosed,
+    OfBFOpen,
     boundary_of,
     expr_mode,
     member,
-    sigma_closed,
-    sigma_open,
     union,
     validate_ideal_expr,
 )
 from refbound.irreducibility import bf_form, classify_join_bf, classify_meet_bf, construct_family
-from refbound.oracle import (
-    merge_reports,
-    random_bf,
-    random_ideal_expr,
-    sample_points,
-    SuiteReport,
-    SuiteViolation,
-)
+from refbound.oracle import random_bf, random_ideal_expr, sample_points
 from refbound.order import (
     RefinementError,
     format_point,
@@ -303,7 +296,7 @@ def test_open_set_sits_inside_hull(lit, seed):
     rng = random.Random(seed)
     from refbound.oracle import _random_linked_pair
     f = random_bf(s, rng)
-    lo, hi = sigma_open(f), sigma_closed(f)
+    lo, hi = OfBFOpen(f), OfBFClosed(f)
     for x in pts(lit, seed, 5):
         for y in pts(lit, seed + 1, 5):
             if member(s, lo, x, y).is_yes:
@@ -375,24 +368,6 @@ def test_families_carry_their_form(lit, seed):
     if h is not None:
         assert validate_bf(s, h) == []
         assert bf_form(s, h).tag == "psi_paab"
-
-
-@settings(max_examples=50, deadline=None)
-@given(seeds, st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
-def test_merging_reports_is_associative(seed, n1, n2, n3):
-    rng = random.Random(seed)
-
-    def rep(n):
-        viols = tuple(
-            SuiteViolation(rng.randrange(100), f"v{rng.randrange(9)}", "w")
-            for _ in range(rng.randrange(2)))
-        return SuiteReport("prop1", ";2", rng.randrange(50), n,
-                           rng.randrange(200), viols)
-
-    a, b, c = rep(n1), rep(n2), rep(n3)
-    left = merge_reports(merge_reports(a, b), c)
-    right = merge_reports(a, merge_reports(b, c))
-    assert left.to_json() == right.to_json()
 
 
 @settings(max_examples=40, deadline=None)
