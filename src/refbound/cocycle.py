@@ -3,18 +3,29 @@
 btilde is the base expansion value of a point: the digit string read as
 a mixed-radix fraction in [0, 1].  It is monotone but collapses each
 gap pair to one value, so an extra dyadic term is added per gap to make
-the embedding strictly monotone.  All arithmetic is exact
-(fractions.Fraction); the only approximation is the explicitly
-requested enclosure width in b_approx.
+the embedding strictly monotone.  All values are exact: they are built
+as integer numerators over integer denominators and handed out as
+fractions.Fraction; the only approximation is the explicitly requested
+enclosure width in b_approx.
 
-The gap terms have a closed form per level.  Gap points are enumerated
-level by level (word length L), and within a level in word order, so
-the gap points below x at level L are the first
+btilde has a closed form.  Past s = max(preamble, prefix_len) the digits
+and the multiplicities both repeat with the period length p.  If h is
+the mixed-radix rank of the first s digits among d = k_1 ... k_s words,
+and t the rank of one period block among r = k_{s+1} ... k_{s+p} words,
+the value is h/d plus the geometric series t/(d r) * r/(r - 1), that is
+(h (r - 1) + t) / (d (r - 1)).  Both ranks are read off the digit words
+x.word(s + p) and sys.k_word(s + p).
+
+The gap terms have a closed form per level too.  Gap points are
+enumerated level by level (word length L), and within a level in word
+order, so the gap points below x at level L are the first
 word_rank(x_1 .. x_{L-1}) * (k_L - 1) + (x_L - 1) of that level's block.
-If the block starts after index `offset`, they add the geometric run
-2^-offset - 2^-end with end = offset + that count, clipped at the
-enclosure depth D.  Only the levels whose block starts before index D
-contribute, and there are about log2(D) of them.
+The blocks of levels 1 .. L-1 hold k_1 ... k_{L-1} - 1 points, so level
+L's block starts after that index `offset`, and its points below x add
+the geometric run 2^-offset - 2^-end with end = offset + that count,
+clipped at the enclosure depth D.  Only the levels whose block starts
+before index D contribute, and there are at most log2(D) + 1 of them.
+Summed in units of 2^-D, the whole gap term is one integer.
 """
 
 from __future__ import annotations
@@ -30,27 +41,37 @@ from .order import (
     orbit_test,
     p_min,
     word_at,
-    word_rank,
 )
 
 Rational = Union[int, float, Fraction]
 
 
-def btilde(sys: RefinementSystem, x: Point) -> Fraction:
-    """Mixed-radix expansion value sum (x_n - 1) / (k_1 ... k_n), exactly."""
+def _mixed_radix(digits: tuple[int, ...], ks: tuple[int, ...]) -> tuple[int, int]:
+    """Rank of digits among the words over radices ks, and how many words there are."""
+    rank, count = 0, 1
+    for d, k in zip(digits, ks):
+        rank = rank * k + d - 1
+        count *= k
+    return rank, count
+
+
+def _btilde_int(sys: RefinementSystem, x: Point) -> tuple[int, int]:
+    """btilde(x) as a numerator and a positive denominator, not reduced."""
     s = max(len(x.preamble), sys.prefix_len)
-    head = Fraction(0)
-    d = 1
-    for n in range(1, s + 1):
-        d *= sys.k_at(n)
-        head += Fraction(x.digit(n) - 1, d)
-    # beyond s both digits and multiplicities repeat with the period length
-    r = 1
-    tail = Fraction(0)
-    for j in range(1, len(x.period) + 1):
-        r *= sys.k_at(s + j)
-        tail += Fraction(x.digit(s + j) - 1, r)
-    return head + tail * Fraction(r, r - 1) / d
+    n = s + len(x.period)
+    xs, ks = x.word(n), sys.k_word(n)
+    h, d = _mixed_radix(xs[:s], ks[:s])
+    t, r = _mixed_radix(xs[s:], ks[s:])
+    return h * (r - 1) + t, d * (r - 1)
+
+
+def btilde(sys: RefinementSystem, x: Point) -> Fraction:
+    """Mixed-radix expansion value sum (x_n - 1) / (k_1 ... k_n), exactly.
+
+    Computed in closed form from two mixed-radix ranks (see the module
+    docstring), with no per-digit fraction arithmetic.
+    """
+    return Fraction(*_btilde_int(sys, x))
 
 
 def ctilde(sys: RefinementSystem, x: Point, y: Point) -> Fraction:
@@ -94,15 +115,37 @@ def gap_index(sys: RefinementSystem, x: Point) -> int:
     if not has_gap_above(sys, x):
         raise ValueError("point has no gap above")
     w = max(len(x.preamble), sys.prefix_len)
-    j = next(n for n in range(w, 0, -1) if x.digit(n) < sys.k_at(n))
-    word = tuple(x.digit(i) for i in range(1, j + 1))
-    n = sum(gap_count_at_level(sys, lv) for lv in range(1, j))
-    n += word_rank(sys, word[:-1]) * (sys.k_at(j) - 1) + (word[-1] - 1)
-    return n + 1
+    xs, ks = x.word(w), sys.k_word(w)
+    # the shortest word w with x = w * (maximal tail) ends at the last
+    # non-maximal digit; levels 1 .. j-1 hold k_1 ... k_{j-1} - 1 gap points
+    j = next(n for n in range(w, 0, -1) if xs[n - 1] < ks[n - 1])
+    rank, block = _mixed_radix(xs[:j - 1], ks[:j - 1])
+    return block - 1 + rank * (ks[j - 1] - 1) + xs[j - 1]
 
 
 # ---------------------------------------------------------------------------
 # the strictly monotone embedding
+
+
+def _gap_units(sys: RefinementSystem, x: Point, depth: int) -> int:
+    """Sum of 2^-n over the gap points n <= depth below x, in units of 2^-depth.
+
+    One geometric run per level (see the module docstring).  The block
+    of level L starts after index k_1 ... k_{L-1} - 1, so a running
+    product locates it, and levels past depth.bit_length() start at or
+    beyond index depth.
+    """
+    n = depth.bit_length()
+    gaps, block, rank = 0, 1, 0
+    for d, k in zip(x.word(n), sys.k_word(n)):
+        offset = block - 1
+        if offset >= depth:
+            break
+        end = min(offset + rank * (k - 1) + d - 1, depth)
+        gaps += (1 << (depth - offset)) - (1 << (depth - end))
+        block *= k
+        rank = rank * k + d - 1
+    return gaps
 
 
 def b_approx(sys: RefinementSystem, x: Point,
@@ -124,37 +167,37 @@ def b_approx(sys: RefinementSystem, x: Point,
         return Fraction(0), Fraction(0)
     # least D with 2^D >= 1/width, i.e. 2^D >= ceil(1/width)
     depth = (-(-width.denominator // width.numerator) - 1).bit_length()
-    # gap terms in units of 2^-D: level L adds 2^(D-offset) - 2^(D-end)
-    gaps = 0
-    offset, level, head_rank = 0, 1, 0
-    while offset < depth:
-        k, d = sys.k_at(level), x.digit(level)
-        end = min(offset + head_rank * (k - 1) + d - 1, depth)
-        gaps += (1 << (depth - offset)) - (1 << (depth - end))
-        offset += gap_count_at_level(sys, level)
-        head_rank = head_rank * k + d - 1
-        level += 1
-    partial = btilde(sys, x) + Fraction(gaps, 1 << depth)
-    return partial, partial + Fraction(1, 1 << depth)
+    num, den = _btilde_int(sys, x)
+    lo = Fraction((num << depth) + _gap_units(sys, x, depth) * den, den << depth)
+    return lo, lo + Fraction(1, 1 << depth)
 
 
 def order_by_cocycle(sys: RefinementSystem, x: Point, y: Point) -> int:
     """Order decision through embedding values only.
 
-    Shrinks the enclosures until they separate; terminates because the
-    embedding is strictly monotone (gap pairs are pushed apart by
-    exactly 2^-n, everything else already differs in btilde).  Squaring
-    the width each round separates a gap pair at index n after about
-    log2(n) rounds.
+    The embedding is btilde plus the gap terms.  btilde is monotone, so
+    unequal btilde values decide the order at once; each point's btilde
+    is computed once, as an integer fraction.  Equal btilde values with
+    x != y mark a gap pair.  Their enclosures [b + g/2^D, b + (g+1)/2^D]
+    share b, so they compare as the integers g in units of 2^-D, and
+    they are shrunk until they separate.  That terminates because the
+    gap terms push the pair apart by exactly 2^-n.  Doubling D (squaring
+    the width) each round separates a gap pair at index n after about
+    log2(n) rounds.  The minimum point never reaches the rounds: its
+    btilde is 0 and every other point's is positive.  No digit
+    comparison is made.
     """
     if x == y:
         return 0
-    eps = Fraction(1, 4)
+    (nx, dx), (ny, dy) = _btilde_int(sys, x), _btilde_int(sys, y)
+    lhs, rhs = nx * dy, ny * dx
+    if lhs != rhs:
+        return -1 if lhs < rhs else 1
+    depth = 2
     while True:
-        xlo, xhi = b_approx(sys, x, eps)
-        ylo, yhi = b_approx(sys, y, eps)
-        if xhi < ylo:
+        gx, gy = _gap_units(sys, x, depth), _gap_units(sys, y, depth)
+        if gx + 1 < gy:
             return -1
-        if yhi < xlo:
+        if gy + 1 < gx:
             return 1
-        eps *= eps
+        depth *= 2

@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Iterator, Optional, Sequence
 
 
@@ -106,10 +106,9 @@ class RefinementSystem:
 
     def prod(self, i: int, j: int) -> int:
         """Product of the multiplicities at positions i+1 through j."""
-        out = 1
-        for n in range(i + 1, j + 1):
-            out *= self.k_at(n)
-        return out
+        if i < 0 and j > i:
+            raise ValueError(f"position must be >= 1, got {i + 1}")
+        return prod(self.k_word(j)[i:])
 
     def shift(self, m: int) -> "RefinementSystem":
         """The system whose multiplicity sequence is k_{m+1}, k_{m+2}, ..."""

@@ -167,9 +167,10 @@ class _Engine:
         return self.sys
 
     def _take(self, toks, i, line, what):
+        """toks[i]; toks starts at the command word, so a missing argument
+        is reported just past the last token given."""
         if i >= len(toks):
-            last = toks[-1][1] + len(toks[-1][0]) if toks else 1
-            self._fail(line, last, f"expected {what}")
+            self._fail(line, toks[-1][1] + len(toks[-1][0]), f"expected {what}")
         return toks[i]
 
     def _no_surplus(self, toks, n, line):
@@ -251,7 +252,7 @@ class _Engine:
         if kw in _IDEAL_ARGS:
             self._no_surplus(toks, 4 + _IDEAL_ARGS[kw], line)
         s = self._system_or_fail(line, col)
-        expr = self._build_ideal(kw, col, toks[4:], line)
+        expr = self._build_ideal(kw, col, toks, 4, line)
         bad = validate_ideal_expr(s, expr)
         if bad:
             self._fail(line, col, "; ".join(v.detail for v in bad))
@@ -259,15 +260,16 @@ class _Engine:
         self.out.results.append(CommandResult(
             line, text, "ok", describe_expr(s, expr)))
 
-    def _build_ideal(self, kw, col, rest, line):
+    def _build_ideal(self, kw, col, toks, i, line):
+        """The ideal expression kw builds from the arguments toks[i:]."""
         s = self.sys
         if kw == "empty":
             return Empty()
         if kw == "full":
             return Full()
         if kw in ("strip", "strip_plus", "corner"):
-            a_tok, a_col = self._take(rest, 0, line, "a point")
-            b_tok, b_col = self._take(rest, 1, line, "a point")
+            a_tok, a_col = self._take(toks, i, line, "a point")
+            b_tok, b_col = self._take(toks, i + 1, line, "a point")
             a = self._point(a_tok, a_col, line)
             b = self._point(b_tok, b_col, line)
             if kw == "strip":
@@ -276,19 +278,19 @@ class _Engine:
                 return StripPlus(a, b)
             return Corner(a, b)
         if kw in ("union", "intersection"):
-            if len(rest) < 2:
+            if len(toks) < i + 2:
                 self._fail(line, col, f"{kw} needs at least two parts")
-            parts = [self._ideal(t, c, line) for t, c in rest]
+            parts = [self._ideal(t, c, line) for t, c in toks[i:]]
             return union(*parts) if kw == "union" else intersection(*parts)
         if kw == "module":
-            tok, tcol = self._take(rest, 0, line, "an ideal name")
+            tok, tcol = self._take(toks, i, line, "an ideal name")
             return module(self._ideal(tok, tcol, line))
         if kw == "finite":
-            lvl_tok, lvl_col = self._take(rest, 0, line, "a level")
+            lvl_tok, lvl_col = self._take(toks, i, line, "a level")
             if not lvl_tok.isdigit():
                 self._fail(line, lvl_col, "level must be a number")
             pairs = []
-            for tok, tcol in rest[1:]:
+            for tok, tcol in toks[i + 1:]:
                 m = _WORD_PAIR.match(tok)
                 if not m:
                     self._fail(line, tcol, f"expected a word pair, got {tok!r}")
@@ -300,7 +302,7 @@ class _Engine:
                 self._fail(line, lvl_col, str(err))
             return FiniteLevel(units)
         if kw in ("open", "hull"):
-            tok, tcol = self._take(rest, 0, line, "a boundary function name")
+            tok, tcol = self._take(toks, i, line, "a boundary function name")
             bf = self._bf(tok, tcol, line)
             return OfBFOpen(bf) if kw == "open" else OfBFClosed(bf)
         self._fail(line, col, f"unknown ideal constructor {kw!r}")
@@ -378,15 +380,14 @@ class _Engine:
     def _run_verb(self, head, line, text, toks):
         left, (want, want_col) = self._split_expect(toks, line)
         self._no_surplus(left, 1 + _VERB_ARGS[head], line)
-        args = left[1:]
         if head not in ("suite", "paper-examples"):
             s = self._system_or_fail(line, left[0][1])
         else:
             s = self.sys
 
         if head == "eval":
-            f_tok, f_col = self._take(args, 0, line, "a function name")
-            x_tok, x_col = self._take(args, 1, line, "a point")
+            f_tok, f_col = self._take(left, 1, line, "a function name")
+            x_tok, x_col = self._take(left, 2, line, "a point")
             f = self._bf(f_tok, f_col, line)
             x = self._point(x_tok, x_col, line)
             got = eval_bf(s, f, x)
@@ -394,9 +395,9 @@ class _Engine:
             self._record(line, text, got == wanted, format_point(s, got))
 
         elif head == "member":
-            i_tok, i_col = self._take(args, 0, line, "an ideal name")
-            x_tok, x_col = self._take(args, 1, line, "a point")
-            y_tok, y_col = self._take(args, 2, line, "a point")
+            i_tok, i_col = self._take(left, 1, line, "an ideal name")
+            x_tok, x_col = self._take(left, 2, line, "a point")
+            y_tok, y_col = self._take(left, 3, line, "a point")
             expr = self._ideal(i_tok, i_col, line)
             x = self._point(x_tok, x_col, line)
             y = self._point(y_tok, y_col, line)
@@ -406,21 +407,21 @@ class _Engine:
 
         elif head in ("boundary", "minus", "plus", "lattice"):
             if head == "lattice":
-                kw, kw_col = self._take(args, 0, line, "'join' or 'meet'")
+                kw, kw_col = self._take(left, 1, line, "'join' or 'meet'")
                 if kw not in ("join", "meet"):
                     self._fail(line, kw_col, "expected 'join' or 'meet'")
-                got = self._build_bf(kw, kw_col, args, 1, line)
+                got = self._build_bf(kw, kw_col, left, 2, line)
             else:
-                got = self._build_bf(head, left[0][1], args, 0, line)
+                got = self._build_bf(head, left[0][1], left, 1, line)
             wanted = self._bf(want, want_col, line)
             self._record(line, text, bf_eq(s, got, wanted), format_bf(s, got))
 
         elif head == "classify":
-            self._run_classify(line, text, args, want, want_col)
+            self._run_classify(line, text, left, want, want_col)
 
         elif head == "equiv":
-            f_tok, f_col = self._take(args, 0, line, "a function name")
-            g_tok, g_col = self._take(args, 1, line, "a function name")
+            f_tok, f_col = self._take(left, 1, line, "a function name")
+            g_tok, g_col = self._take(left, 2, line, "a function name")
             f = self._bf(f_tok, f_col, line)
             g = self._bf(g_tok, g_col, line)
             if want not in ("yes", "no"):
@@ -429,8 +430,8 @@ class _Engine:
             self._record(line, text, got == want, got)
 
         elif head == "sandwich":
-            i_tok, i_col = self._take(args, 0, line, "an ideal name")
-            f_tok, f_col = self._take(args, 1, line, "a function name")
+            i_tok, i_col = self._take(left, 1, line, "an ideal name")
+            f_tok, f_col = self._take(left, 2, line, "a function name")
             expr = self._ideal(i_tok, i_col, line)
             f = self._bf(f_tok, f_col, line)
             wanted = self._expect_verdict(want, want_col, line)
@@ -438,7 +439,7 @@ class _Engine:
             self._record(line, text, got.kind == wanted, got.kind)
 
         elif head == "suite":
-            n_tok, n_col = self._take(args, 0, line, "a suite name")
+            n_tok, n_col = self._take(left, 1, line, "a suite name")
             if n_tok not in SUITE_NAMES:
                 self._fail(line, n_col, f"unknown suite {n_tok!r}")
             if want != "ok":
@@ -449,7 +450,7 @@ class _Engine:
             self._record(line, text, rep.ok, detail)
 
         elif head == "paper-examples":
-            g_tok, g_col = self._take(args, 0, line, "a fixture group")
+            g_tok, g_col = self._take(left, 1, line, "a fixture group")
             if want != "ok":
                 self._fail(line, want_col, "fixture groups can only expect 'ok'")
             from .fixtures import emit_fixture, fixture_group
@@ -469,10 +470,10 @@ class _Engine:
             self._record(line, text, all_ok, "; ".join(bits))
 
 
-    def _run_classify(self, line, text, args, want, want_col):
+    def _run_classify(self, line, text, left, want, want_col):
         s = self.sys
-        mode_tok, mode_col = self._take(args, 0, line, "a classification mode")
-        arg_tok, arg_col = self._take(args, 1, line, "a name")
+        mode_tok, mode_col = self._take(left, 1, line, "a classification mode")
+        arg_tok, arg_col = self._take(left, 2, line, "a name")
         if mode_tok in _BF_KINDS:
             kinds = _BF_KINDS[mode_tok]
             if want not in kinds:

@@ -99,6 +99,8 @@ class TestScenarioGrammar:
         ("system ;2\nbf f = identity\nminus f f expect f", 3, 9),
         # a missing argument sits past the last token
         ("system ;2\nbf f = const", 2, 13),
+        ("system ;2\nbf f = identity\nboundary expect f", 3, 9),
+        ("system ;2\nideal T = module", 2, 17),
         # a kind the classification never returns
         ("system ;2\nbf f = identity\nclassify meet f expect bogus", 3, 24),
         ("system ;2\nbf f = identity\nclassify join f expect phi_ab", 3, 24),
@@ -241,6 +243,16 @@ class TestCLI:
         path.write_text("system ;2\nbf f = wat\n")
         assert main(["run", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,where", [
+        ("system ;2\nbf f = identity\nminus expect f\n", "line 3, column 6"),
+        ("system ;2\nideal T = hull\n", "line 2, column 15"),
+    ])
+    def test_run_missing_argument(self, tmp_path, capsys, text, where):
+        path = tmp_path / "err.scn"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        assert where in capsys.readouterr().err
 
     def test_run_missing_file(self, capsys):
         assert main(["run", "/definitely/not/here.scn"]) == 2

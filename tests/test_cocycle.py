@@ -160,6 +160,21 @@ class TestOrderByCocycle:
                 assert order_by_cocycle(K23, a, b) == order_compare(a, b)
 
 
+def _btilde_by_digits(sys, x):
+    """Reference: the expansion summed one digit at a time, as Fractions."""
+    s = max(len(x.preamble), sys.prefix_len)
+    head, d = Fraction(0), 1
+    for n in range(1, s + 1):
+        d *= sys.k_at(n)
+        head += Fraction(x.digit(n) - 1, d)
+    # beyond s both digits and multiplicities repeat with the period length
+    tail, r = Fraction(0), 1
+    for j in range(1, len(x.period) + 1):
+        r *= sys.k_at(s + j)
+        tail += Fraction(x.digit(s + j) - 1, r)
+    return head + tail * Fraction(r, r - 1) / d
+
+
 def _b_approx_by_gap_points(sys, x, eps):
     """Reference: the partial sum over the first D gap points, term by term."""
     if x == p_min(sys):
@@ -167,7 +182,7 @@ def _b_approx_by_gap_points(sys, x, eps):
     depth = 0
     while Fraction(1, 2 ** depth) > Fraction(eps):
         depth += 1
-    lo = btilde(sys, x)
+    lo = _btilde_by_digits(sys, x)
     for n in range(1, depth + 1):
         if lt(gap_point(sys, n), x):
             lo += Fraction(1, 2 ** n)
@@ -192,14 +207,67 @@ class TestClosedForm:
         g = gap_point(BIN, 1024)  # the first gap point of level 11
         s = suc(BIN, g)
         calls = []
-        real = cocycle.b_approx
+        real = cocycle._gap_units
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(cocycle, "b_approx", counted)
+        monkeypatch.setattr(cocycle, "_gap_units", counted)
         for x, y in ((g, s), (s, g)):
             calls.clear()
             assert order_by_cocycle(BIN, x, y) == order_compare(x, y)
             assert len(calls) <= 30
+
+
+def _gap_pairs_by_level(sys, top_level=11, max_index=4096):
+    """First, middle and last gap point of each level up to top_level, with successors."""
+    pairs, start = [], 1
+    for level in range(1, top_level + 1):
+        end = start + gap_count_at_level(sys, level) - 1
+        for n in (start, (start + end) // 2, end):
+            if n <= max_index:
+                g = gap_point(sys, n)
+                pairs.append((g, suc(sys, g)))
+        start = end + 1
+    return pairs
+
+
+class TestIntegerForm:
+    """The integer forms of btilde, b_approx and order_by_cocycle against per-digit sums."""
+
+    SYSTEMS = (";2", ";2,3", "3;2", ";11", "2;2,2,3", "12;2,13", ";2,3,5")
+    EPS = (Fraction(1, 3), Fraction(1, 64), Fraction(2, 1000003))
+
+    @pytest.mark.parametrize("lit", SYSTEMS)
+    def test_matches_per_digit_sums(self, lit):
+        sys = parse_system(lit)
+        pairs = _gap_pairs_by_level(sys)
+        xs = sample_points(sys, 7, 12, 5, 3) + [x for pair in pairs for x in pair]
+        for x in xs:
+            assert btilde(sys, x) == _btilde_by_digits(sys, x)
+            last = None
+            for eps in self.EPS:
+                lo, hi = b_approx(sys, x, eps)
+                assert (lo, hi) == _b_approx_by_gap_points(sys, x, eps)
+                assert hi - lo <= eps
+                if last is not None:
+                    assert last[0] <= lo <= hi <= last[1]
+                last = (lo, hi)
+
+    @pytest.mark.parametrize("lit", SYSTEMS)
+    def test_order_matches_digit_order(self, lit):
+        sys = parse_system(lit)
+        pairs = _gap_pairs_by_level(sys)
+        xs = sample_points(sys, 7, 12, 5, 3)
+        for g, s in pairs:
+            assert order_by_cocycle(sys, g, s) == order_compare(g, s) == -1
+            assert order_by_cocycle(sys, s, g) == order_compare(s, g) == 1
+            xs += [g, s]
+        low = p_min(sys)
+        for x in xs:
+            assert order_by_cocycle(sys, low, x) == order_compare(low, x)
+            assert order_by_cocycle(sys, x, low) == order_compare(x, low)
+        for x in xs[:12]:
+            for y in xs:
+                assert order_by_cocycle(sys, x, y) == order_compare(x, y)
