@@ -10,7 +10,8 @@ Four subcommands share one flag set (--system, --seed, --budget,
     refbound paper-examples GROUP  run a fixture group
 
 Exit codes: 0 all assertions held, 1 an assertion or suite failed,
-2 malformed input (reported with line and column for scenario files).
+2 malformed input (reported with line and column for scenario files)
+or a --json path that cannot be written.
 """
 
 from __future__ import annotations
@@ -76,10 +77,14 @@ def _print_outcome(out: ScenarioOutcome) -> None:
 
 
 def _write_json(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+    # an unwritable path is bad input (exit 2), not a failed assertion
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            if not text.endswith("\n"):
+                fh.write("\n")
+    except OSError as err:
+        raise ValueError(f"cannot write --json {path}: {err.strerror or err}") from None
 
 
 def _scenario_command(outcome: ScenarioOutcome, json_path) -> int:

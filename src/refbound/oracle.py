@@ -494,10 +494,18 @@ class _Recorder:
         self.samples = 0
         self.violations = []
 
-    def check(self, ok, description: str, witness: str = "") -> bool:
+    def check(self, ok, description: str, witness="") -> bool:
+        """Count one sample and record a violation when ok is false.
+
+        witness is a string, or a function of no arguments that returns
+        one; a function is called only on failure, so the suites build
+        no witness text for checks that hold.
+        """
         idx = self.samples
         self.samples += 1
         if not ok:
+            if callable(witness):
+                witness = witness()
             self.violations.append(SuiteViolation(idx, description, witness))
         return bool(ok)
 
@@ -545,53 +553,53 @@ def _suite_def_biconditions(sys, rng, budget, rec):
     for x in pts:
         s = _maybe(suc, sys, x)
         rec.check((s is not None) == has_gap_above(sys, x),
-                  "gap above must match the successor probe", _wp(sys, x=x))
+                  "gap above must match the successor probe", lambda: _wp(sys, x=x))
         if s is not None:
             rec.check(pred(sys, s) == x and lt(x, s),
                       "successor and predecessor must invert each other",
-                      _wp(sys, x=x, s=s))
+                      lambda: _wp(sys, x=x, s=s))
             rec.check(construct_between(sys, x, s) is None,
-                      "nothing may sit strictly inside a gap", _wp(sys, x=x, s=s))
+                      "nothing may sit strictly inside a gap", lambda: _wp(sys, x=x, s=s))
             try:
                 interval(sys, x, s, lo_open=True, hi_open=True)
                 rec.check(False, "the open gap interval must be empty",
-                          _wp(sys, x=x, s=s))
+                          lambda: _wp(sys, x=x, s=s))
             except EmptyIntervalError:
                 rec.check(True, "")
         p = _maybe(pred, sys, x)
         rec.check((p is not None) == has_gap_below(sys, x),
-                  "gap below must match the predecessor probe", _wp(sys, x=x))
+                  "gap below must match the predecessor probe", lambda: _wp(sys, x=x))
         if p is not None:
             rec.check(suc(sys, p) == x and lt(p, x),
                       "predecessor and successor must invert each other",
-                      _wp(sys, x=x, p=p))
+                      lambda: _wp(sys, x=x, p=p))
         w = prefix_digits(x, max(len(x.preamble), sys.prefix_len))
         rec.check(has_gap_above(sys, x)
                   == (x != p_max(sys) and x == max_tail_point(sys, w)),
                   "gap above means a maximal tail short of the top",
-                  _wp(sys, x=x))
+                  lambda: _wp(sys, x=x))
         rec.check(has_gap_below(sys, x)
                   == (x != p_min(sys) and x == min_tail_point(sys, w)),
                   "gap below means a minimal tail short of the bottom",
-                  _wp(sys, x=x))
+                  lambda: _wp(sys, x=x))
     for x in pts:
         for y in pts:
             c = order_compare(x, y)
             rec.check(le(x, y) == (c <= 0) and lt(x, y) == (c < 0),
                       "comparisons must agree with the three-way form",
-                      _wp(sys, x=x, y=y))
+                      lambda: _wp(sys, x=x, y=y))
             rec.check(p_test(x, y) == (orbit_test(x, y) and le(x, y)),
                       "the pair test is orbit membership plus order",
-                      _wp(sys, x=x, y=y))
+                      lambda: _wp(sys, x=x, y=y))
             rec.check(orbit_test(x, y) == (_maybe(merge_level, x, y) is not None),
                       "orbit mates are exactly the points with merging tails",
-                      _wp(sys, x=x, y=y))
+                      lambda: _wp(sys, x=x, y=y))
     for x in pts[:4 + budget]:
         for n in (1, 2, 3):
             lo, hi = cylinder_bounds(sys, prefix_digits(x, n))
             rec.check(le(lo, x) and le(x, hi),
                       "a point must sit inside its own cylinder",
-                      _wp(sys, x=x, lo=lo, hi=hi))
+                      lambda: _wp(sys, x=x, lo=lo, hi=hi))
 
 
 def _end_points_and_gap_mates(sys, bf) -> list[Point]:
@@ -621,16 +629,16 @@ def _suite_prop4_5(sys, rng, budget, rec):
         for y in pts:
             v = eval_bf(sys, phi, y)
             rec.check(le(v, y), "order-mode values stay below the identity",
-                      _wp(sys, y=y, value=v))
+                      lambda: _wp(sys, y=y, value=v))
             rec.check(not has_gap_below(sys, v) or p_test(v, y),
                       "a value with a gap below must link to its argument",
-                      _wp(sys, y=y, value=v))
+                      lambda: _wp(sys, y=y, value=v))
         for x in pts:
             for y in pts:
                 if le(x, y):
                     rec.check(le(eval_bf(sys, phi, x), eval_bf(sys, phi, y)),
                               "the function must be monotone",
-                              _wp(sys, x=x, y=y) + "; " + wit)
+                              lambda: _wp(sys, x=x, y=y) + "; " + wit)
 
 
 def _suite_prop6(sys, rng, budget, rec):
@@ -646,11 +654,11 @@ def _suite_prop6(sys, rng, budget, rec):
             strict = lt(x, eval_bf(sys, phi, y))
             rec.check(member(sys, OfBFOpen(phi), x, y).is_yes == strict,
                       "strict sub-level membership is the strict comparison",
-                      _wp(sys, x=x, y=y) + "; " + wit)
+                      lambda: _wp(sys, x=x, y=y) + "; " + wit)
             if strict:
                 rec.check(sigma_member(sys, phi, x, y).is_yes,
                           "the open set sits inside the hull",
-                          _wp(sys, x=x, y=y) + "; " + wit)
+                          lambda: _wp(sys, x=x, y=y) + "; " + wit)
 
 
 def _suite_prop7(sys, rng, budget, rec):
@@ -665,16 +673,16 @@ def _suite_prop7(sys, rng, budget, rec):
             if lt(x, eval_bf(sys, phi, y)):
                 rec.check(member(sys, expr, x, y).is_yes,
                           "strict sub-level pairs lie inside the set",
-                          _wp(sys, x=x, y=y) + "; " + wit)
+                          lambda: _wp(sys, x=x, y=y) + "; " + wit)
             if member(sys, expr, x, y).is_yes:
                 rec.check(not sigma_member(sys, phi, x, y).is_no,
                           "members stay inside the neighborhood hull",
-                          _wp(sys, x=x, y=y) + "; " + wit)
+                          lambda: _wp(sys, x=x, y=y) + "; " + wit)
         for y in _point_batch(sys, rng, 6):
             if in_L_phi(sys, phi, y).is_yes:
                 rec.check(member(sys, expr, eval_bf(sys, phi, y), y).is_yes,
                           "attained gap values on the graph lie inside the set",
-                          _wp(sys, y=y) + "; " + wit)
+                          lambda: _wp(sys, y=y) + "; " + wit)
 
 
 def _suite_lemma8(sys, rng, budget, rec):
@@ -706,11 +714,11 @@ def _suite_prop9(sys, rng, budget, rec):
             rec.check(member(sys, OfBFOpen(phi), x, y)
                       == member(sys, OfBFOpen(low), x, y),
                       "strict sub-level membership sees only the left companion",
-                      _wp(sys, x=x, y=y) + "; " + wit)
+                      lambda: _wp(sys, x=x, y=y) + "; " + wit)
             rec.check(sigma_member(sys, phi, x, y)
                       == sigma_member(sys, high, x, y),
                       "hull membership sees only the right companion",
-                      _wp(sys, x=x, y=y) + "; " + wit)
+                      lambda: _wp(sys, x=x, y=y) + "; " + wit)
 
 
 def _suite_lemma10(sys, rng, budget, rec):
@@ -773,7 +781,7 @@ def _suite_lemma12(sys, rng, budget, rec):
                 want = max_tail_point(sys, best) if best else p_min(sys)
                 rec.check(lawful and eval_bf(sys, got, max_tail_point(sys, v)) == want,
                           f"the lattice {op} is unlawful or disagrees with the brute maximum",
-                          f"{fmt_units(s1)} {op} {fmt_units(s2)} at {fmt_word(v)}")
+                          lambda: f"{fmt_units(s1)} {op} {fmt_units(s2)} at {fmt_word(v)}")
 
 
 _MEET_FORMS = {"identity_form": {"identity"}, "phi_ab": {"phi_ab", "minimal"},
@@ -865,7 +873,7 @@ def _suite_prop15(sys, rng, budget, rec):
                 split = any(member(sys, w, x, y).is_yes for w in v.witnesses)
                 rec.check(got == split,
                           "a split corner must be the union of its witnesses",
-                          wit + "; " + _wp(sys, x=x, y=y))
+                          lambda: wit + "; " + _wp(sys, x=x, y=y))
     if format_system(sys) == ";2":
         a = parse_point(sys, "2|1")
         t = parse_point(sys, "21|2")
@@ -884,13 +892,13 @@ def _suite_cocycle(sys, rng, budget, rec):
             if le(x, y):
                 rec.check(btilde(sys, x) <= btilde(sys, y),
                           "the expansion value must be monotone",
-                          _wp(sys, x=x, y=y))
+                          lambda: _wp(sys, x=x, y=y))
             if x != y and btilde(sys, x) == btilde(sys, y):
                 mates = ((has_gap_above(sys, x) and suc(sys, x) == y)
                          or (has_gap_above(sys, y) and suc(sys, y) == x))
                 rec.check(mates,
                           "only gap pairs may share an expansion value",
-                          _wp(sys, x=x, y=y))
+                          lambda: _wp(sys, x=x, y=y))
     for x in pts:
         for y in pts:
             if le(x, y):
@@ -898,24 +906,24 @@ def _suite_cocycle(sys, rng, budget, rec):
                     g = gap_point(sys, n)
                     rec.check(not lt(g, x) or lt(g, y),
                               "gap terms charged below x stay charged below y",
-                              _wp(sys, g=g, x=x, y=y))
+                              lambda: _wp(sys, g=g, x=x, y=y))
                 break
     for _ in range(4 * budget):
         x, y = _random_linked_pair(sys, rng)
         rec.check(ctilde(sys, x, y) == btilde(sys, y) - btilde(sys, x),
                   "the cocycle must telescope through expansion values",
-                  _wp(sys, x=x, y=y))
+                  lambda: _wp(sys, x=x, y=y))
         rec.check((ctilde(sys, x, y) >= 0) == le(x, y),
                   "a nonnegative cocycle must detect the order",
-                  _wp(sys, x=x, y=y))
+                  lambda: _wp(sys, x=x, y=y))
         rec.check((ctilde(sys, y, x) >= 0) == le(y, x),
                   "a nonnegative cocycle must detect the order",
-                  _wp(sys, x=y, y=x))
+                  lambda: _wp(sys, x=y, y=x))
         z = _random_mate(sys, rng, x)
         rec.check(ctilde(sys, x, z)
                   == ctilde(sys, x, y) + ctilde(sys, y, z),
                   "the cocycle must be additive along an orbit",
-                  _wp(sys, x=x, y=y, z=z))
+                  lambda: _wp(sys, x=x, y=y, z=z))
     for n in range(1, 9):
         rec.check(gap_index(sys, gap_point(sys, n)) == n,
                   "the gap enumeration must invert its index", f"n={n}")
@@ -924,12 +932,12 @@ def _suite_cocycle(sys, rng, budget, rec):
         lo2, hi2 = b_approx(sys, x, Fraction(1, 64))
         rec.check(lo1 <= lo2 <= hi2 <= hi1,
                   "tighter enclosures must nest inside looser ones",
-                  _wp(sys, x=x))
+                  lambda: _wp(sys, x=x))
         for y in pts[:4 + budget]:
             got = order_by_cocycle(sys, x, y)
             rec.check(got == order_compare(x, y),
                       "the embedding must decide the order",
-                      _wp(sys, x=x, y=y))
+                      lambda: _wp(sys, x=x, y=y))
     if format_system(sys) == ";2":
         rec.check(btilde(sys, parse_point(sys, "|2")) == 1,
                   "pinned expansion value for the top point", "|2")
@@ -950,12 +958,12 @@ def _check_units_against_brute(sys, model, units, rec):
         got = eval_bf(sys, phi, max_tail_point(sys, v))
         rec.check(got == want,
                   "symbolic boundary disagrees with the brute maximum",
-                  f"{fmt_units(units)} at {fmt_word(v)}: "
-                  f"{format_point(sys, got)} vs {format_point(sys, want)}")
+                  lambda: f"{fmt_units(units)} at {fmt_word(v)}: "
+                          f"{format_point(sys, got)} vs {format_point(sys, want)}")
     packed = restrict_to_level(sys, expr, model.level)
     rec.check(packed.pairs == units.pairs,
               "restriction must recover the level set it came from",
-              fmt_units(units))
+              lambda: fmt_units(units))
 
 
 def _suite_oracle_equivalence(sys, rng, budget, rec):
@@ -976,7 +984,7 @@ def _suite_module_set_mode(sys, rng, budget, rec):
     full = module(Full())
     x, y = _random_linked_pair(sys, rng)
     rec.check(member(sys, full, y, x).is_yes,
-              "the full module holds reversed orbit pairs", _wp(sys, x=y, y=x))
+              "the full module holds reversed orbit pairs", lambda: _wp(sys, x=y, y=x))
     for _ in range(2 * budget):
         wrapped = random_module_expr(sys, rng, 1)
         wit = describe_expr(sys, wrapped)
@@ -997,7 +1005,7 @@ def _suite_module_set_mode(sys, rng, budget, rec):
         for z in _point_batch(sys, rng, 5):
             rec.check(le(eval_bf(sys, phi_i, z), eval_bf(sys, phi_m, z)),
                       "widening to a module can only raise the boundary",
-                      _wp(sys, y=z) + "; " + wit)
+                      lambda: _wp(sys, y=z) + "; " + wit)
     lvl = 2 if word_count(sys, 2) <= 16 else 1
     if word_count(sys, lvl) <= 30:
         model = build_finite_model(sys, lvl)

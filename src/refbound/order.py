@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import lcm, prod
 from typing import Iterator, Optional, Sequence
 
@@ -150,13 +150,20 @@ class Point:
     the period forever.  Canonical means: the period length is the lcm of
     the minimal eventual period and the system's cycle length, and the
     preamble is as short as possible.  Build through point() which
-    canonicalizes; two canonical points are equal iff their digit
-    strings are.  word(n) gives the first n digits as one tuple, which
-    is how the order primitives below read them.
+    canonicalizes and interns; two canonical points are equal iff their
+    digit strings are.  word(n) gives the first n digits as one tuple,
+    which is how the order primitives below read them.  head is
+    preamble + period, the first len(head) digits, set once at
+    construction so order_compare can read it without unrolling; it
+    takes no part in ==, hash or repr.
     """
 
     preamble: tuple[int, ...]
     period: tuple[int, ...]
+    head: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "head", self.preamble + self.period)
 
     def digit(self, n: int) -> int:
         if n <= len(self.preamble):
@@ -165,7 +172,7 @@ class Point:
 
     def word(self, n: int) -> tuple[int, ...]:
         """digit(1), ..., digit(n) as one tuple."""
-        return _unroll(self.preamble, self.period, n)
+        return _unroll(self.head, self.period, n)
 
 
 def check_digits(word: Sequence[int], ks: Sequence[int]) -> None:
@@ -184,10 +191,22 @@ def point(sys: RefinementSystem, preamble: Sequence[int], period: Sequence[int])
 
     The period must be a multiple of the system's cycle length
     (MisalignedPeriodError otherwise) and every digit must lie in
-    1..k_n at its position (DigitRangeError).
+    1..k_n at its position (DigitRangeError).  Points are interned:
+    equal (system, preamble, period) inputs, as lists or tuples, return
+    the same Point object while the input stays in a bounded
+    process-wide table.  Errors are never stored, so a bad input raises
+    the same error on every call.
     """
-    pre = tuple(map(int, preamble))
-    per = tuple(map(int, period))
+    return _canonical_point(sys, tuple(map(int, preamble)), tuple(map(int, period)))
+
+
+# Both distinct passes of the benchmark's suites workload (16 suites on
+# three systems, two seeds) ask for about 1,500 distinct points, and a
+# construction or hull-typical run for about 600 with its set-up, so
+# 4,096 entries hold a whole run with room to spare while bounding memory.
+@lru_cache(maxsize=4096)
+def _canonical_point(sys: RefinementSystem, pre: tuple[int, ...],
+                     per: tuple[int, ...]) -> Point:
     if not per:
         raise ValueError("period must be nonempty")
     big_l = sys.cycle_len
@@ -222,7 +241,7 @@ def _joint_words(x: Point, y: Point) -> tuple[int, tuple[int, ...], tuple[int, .
     # longer preamble: the digit strings are equal iff these words are
     w = max(len(x.preamble), len(y.preamble))
     span = w + lcm(len(x.period), len(y.period))
-    return w, _unroll(x.preamble, x.period, span), _unroll(y.preamble, y.period, span)
+    return w, _unroll(x.head, x.period, span), _unroll(y.head, y.period, span)
 
 
 def _ordering_words(x: Point, y: Point) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -232,7 +251,7 @@ def _ordering_words(x: Point, y: Point) -> tuple[tuple[int, ...], tuple[int, ...
     # longer preamble plus the longer period is compared first.
     lx, ly = len(x.period), len(y.period)
     span = max(len(x.preamble), len(y.preamble)) + (lx if lx > ly else ly)
-    a, b = _unroll(x.preamble, x.period, span), _unroll(y.preamble, y.period, span)
+    a, b = _unroll(x.head, x.period, span), _unroll(y.head, y.period, span)
     if lx % ly and ly % lx and a == b:
         _, a, b = _joint_words(x, y)
     return a, b
@@ -240,6 +259,8 @@ def _ordering_words(x: Point, y: Point) -> tuple[tuple[int, ...], tuple[int, ...
 
 def first_difference(x: Point, y: Point) -> Optional[int]:
     """First position where the digit strings differ, or None if equal."""
+    if x is y:
+        return None
     a, b = _ordering_words(x, y)
     if a == b:
         return None
@@ -247,9 +268,27 @@ def first_difference(x: Point, y: Point) -> Optional[int]:
 
 
 def order_compare(x: Point, y: Point) -> int:
-    a, b = _ordering_words(x, y)
-    if a == b:
+    """-1, 0 or 1 as the digit string of x is below, equal to or above y's.
+
+    Interned points are often the same object.  Otherwise the heads cut
+    to the shorter length hold both points' first digits exactly, so
+    they decide whenever they differ; equal cut heads with equal
+    preamble and period lengths are equal points.  Only what is left
+    unrolls the ordering words.
+    """
+    if x is y:
         return 0
+    a, b = x.head, y.head
+    if len(a) > len(b):
+        a = a[:len(b)]
+    elif len(b) > len(a):
+        b = b[:len(a)]
+    if a == b:
+        if len(x.preamble) == len(y.preamble) and len(x.period) == len(y.period):
+            return 0
+        a, b = _ordering_words(x, y)
+        if a == b:
+            return 0
     return -1 if a < b else 1
 
 
@@ -272,6 +311,8 @@ def lt(x: Point, y: Point) -> bool:
 
 def orbit_test(x: Point, y: Point) -> bool:
     """Do x and y agree from some position on (lie in the same orbit)?"""
+    if x is y:
+        return True
     w, a, b = _joint_words(x, y)
     return a[w:] == b[w:]
 

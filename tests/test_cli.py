@@ -305,6 +305,22 @@ class TestCLI:
             assert main(["paper-examples", group]) == 0
         assert "prime-variant" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "SCENARIO"],
+        ["paper-examples", "section3"],
+        ["suite", "lemma8"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_json_path(self, tmp_path, capsys, argv, where):
+        scenario = tmp_path / "ok.scn"
+        scenario.write_text("system ;2\nbf f = identity\neval f |2 expect |2\n")
+        target = tmp_path / "no" / "such" / "x.json" if where == "missing-dir" else tmp_path
+        argv = [str(scenario) if a == "SCENARIO" else a for a in argv]
+        assert main(argv + ["--json", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write --json {target}: ")
+        assert "Traceback" not in err
+
     def test_paper_examples_json(self, tmp_path, capsys):
         path = tmp_path / "pe.json"
         assert main(["paper-examples", "section3", "--json", str(path)]) == 0

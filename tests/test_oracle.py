@@ -13,6 +13,7 @@ from refbound.idealsets import (
     validate_ideal_expr,
 )
 from refbound.order import (
+    _canonical_point,
     RefinementError,
     format_point,
     orbit_test,
@@ -22,6 +23,7 @@ from refbound.order import (
     parse_system,
 )
 from refbound.oracle import (
+    _Recorder,
     SUITE_NAMES,
     SuiteReport,
     SuiteViolation,
@@ -249,6 +251,31 @@ class TestRunSuite:
         a = run_suite("cocycle", BIN, seed=11)
         b = run_suite("cocycle", BIN, seed=11)
         assert a.to_json() == b.to_json()
+
+    def test_reports_do_not_depend_on_earlier_runs(self):
+        # points are interned process-wide: a cold table and one warmed by
+        # other suites give the same bytes, witnesses of failed checks included
+        runs = [("prop9", BIN, 1, 3), ("def-biconditions", ALT, 0, 1),
+                ("oracle-equivalence", parse_system("3;2"), 0, 1)]
+        cold = []
+        for args in runs:
+            _canonical_point.cache_clear()
+            cold.append(run_suite(*args).to_json())
+        warm = [run_suite(*args).to_json() for _ in range(2) for args in runs]
+        assert warm == cold * 2
+
+    def test_witness_is_formatted_only_on_failure(self):
+        calls = []
+
+        def witness():
+            calls.append(1)
+            return "x=|1"
+
+        rec = _Recorder()
+        assert rec.check(True, "holds", witness) and not calls
+        assert not rec.check(False, "fails", witness) and len(calls) == 1
+        assert not rec.check(0, "fails too", "plain text")
+        assert [(v.index, v.witness) for v in rec.violations] == [(1, "x=|1"), (2, "plain text")]
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     @pytest.mark.parametrize("sys", [BIN, ALT], ids=[";2", ";2,3"])

@@ -1,9 +1,11 @@
+import itertools
 import random
 from math import lcm
 
 import pytest
 
 from refbound.order import (
+    _canonical_point,
     DigitRangeError,
     EmptyIntervalError,
     MisalignedPeriodError,
@@ -564,3 +566,115 @@ class TestWordsAndCaches:
         s = RefinementSystem.make((3,), (2, 5))
         assert p_min(s) is p_min(s) and p_max(s) is p_max(s)
         assert p_max(s) == point(s, (3,), (2, 5))
+
+
+# ---------------------------------------------------------------------------
+# interned points and the head compare, against the joint-word definition
+
+CHANGES_SYSTEMS = [parse_system(t) for t in (
+    ";2", ";2,3", "3;2", ";3", ";11", "2;2,2,3", "12;2,13", ";2,3,5", ";7,11", "5,13;3,4,7")]
+
+
+def assert_order_matches_reference(x, y):
+    assert order_compare(x, y) == ref_compare(x, y), (x, y)
+    assert order_compare(y, x) == ref_compare(y, x), (x, y)
+    assert first_difference(x, y) == ref_first_difference(x, y), (x, y)
+    assert orbit_test(x, y) == ref_orbit(x, y), (x, y)
+
+
+def respelled(x):
+    """x's digit string with one period digit moved into the preamble: not canonical."""
+    return Point(x.preamble + x.period[:1], x.period[1:] + x.period[:1])
+
+
+class TestInternedPoints:
+    def test_head_is_preamble_then_period(self):
+        x = pt(K23, "212|31")
+        assert x.head == (2, 1, 2, 3, 1) and x.head == x.word(5)
+        assert Point((1,), (2,)).head == (1, 2)
+        assert "head" not in repr(x)
+
+    def test_equal_heads_different_points(self):
+        x, y = pt(BIN, "1|2"), pt(BIN, "|12")
+        assert x.head == y.head and x != y
+        assert_order_matches_reference(x, y)
+        assert order_compare(x, y) == 1
+
+    def test_head_a_proper_prefix_of_the_other(self):
+        for a, b in (("|12", "12|1"), ("|1", "1|2"), ("|12", "1212|2"), ("|2", "2|1")):
+            x, y = pt(BIN, a), pt(BIN, b)
+            assert y.head[:len(x.head)] == x.head and len(y.head) > len(x.head)
+            assert_order_matches_reference(x, y)
+
+    def test_coprime_periods(self):
+        x = point(BIN, (), (1,) * 10 + (2,))
+        y = point(BIN, (), (1,) * 10 + (2,) + (1,) * 10 + (2, 1))
+        z = point(BIN, (), (1,) * 10 + (2,) + (1,) * 10 + (2, 2))
+        assert (len(x.period), len(y.period), len(z.period)) == (11, 23, 23)
+        for a, b in ((x, y), (x, z), (y, z)):
+            assert a.head[:11] == b.head[:11]
+            assert_order_matches_reference(a, b)
+        assert order_compare(x, y) == 1 and order_compare(x, z) == -1
+
+    def test_identity_and_equal_copies(self):
+        x = pt(K23, "21|1312")
+        copy = Point(x.preamble, x.period)
+        assert copy is not x and copy == x and hash(copy) == hash(x)
+        for y in (x, copy, respelled(x)):
+            assert order_compare(x, y) == 0 and first_difference(x, y) is None
+            assert orbit_test(x, y)
+
+    @pytest.mark.parametrize("sys", CHANGES_SYSTEMS, ids=format_system)
+    def test_random_pairs_match_joint_words(self, sys):
+        rng = random.Random("interned|" + format_system(sys))
+        L = sys.cycle_len
+        interned = [p_min(sys), p_max(sys)]
+        while len(interned) < 40:
+            if rng.random() < 0.3:
+                # share a long prefix with an earlier point
+                base = rng.choice(interned)
+                pre = base.word(rng.randint(0, len(base.head) + len(base.period)))
+            else:
+                pre = raw_digits(rng, sys, 1, rng.choice((0, 1, 2, 4)), bad=False)
+            per = raw_digits(rng, sys, len(pre) + 1, L * rng.choice((1, 2, 3)), bad=False)
+            x = outcome(point, sys, pre, per)
+            if isinstance(x, Point):  # a period that overlaps the prefix may not fit
+                interned.append(x)
+        built = [Point(x.preamble, x.period) for x in interned]
+        built += [respelled(x) for x in interned[:10]]
+        for _ in range(400):
+            x, y = rng.choice(interned), rng.choice(built)
+            assert_order_matches_reference(x, y)
+            assert_order_matches_reference(rng.choice(interned), rng.choice(interned))
+
+    def test_list_and_tuple_inputs_give_one_object(self):
+        for sys, pre, per in ((BIN, [1, 2], [2]), (K23, [], [1, 2]), (PRE, [3], [2])):
+            x = point(sys, list(pre), list(per))
+            assert point(sys, tuple(pre), tuple(per)) is x
+            assert point(sys, pre, per) is x
+        assert parse_point(K23, "1|21") is point(K23, (1,), (2, 1))
+
+    @pytest.mark.parametrize("sys,pre,per,kind", [
+        (K23, (), (1,), MisalignedPeriodError),
+        (K23, (1, 3), (3, 1), DigitRangeError),
+        (PRE, (1, 3), (2,), DigitRangeError),
+        (BIN, (1,), (), ValueError),
+    ])
+    def test_bad_input_raises_the_same_every_time(self, sys, pre, per, kind):
+        seen = set()
+        for _ in range(3):
+            with pytest.raises(kind) as err:
+                point(sys, pre, per)
+            seen.add((type(err.value), str(err.value)))
+        assert len(seen) == 1
+
+    def test_intern_table_is_bounded(self):
+        bound = _canonical_point.cache_info().maxsize
+        assert bound is not None
+        words = list(itertools.islice(level_words(BIN, 13), bound + 500))
+        first = [min_tail_point(BIN, w) for w in words]
+        assert _canonical_point.cache_info().currsize <= bound
+        # evicted points come back equal, and still order by their digits
+        again = [min_tail_point(BIN, w) for w in words[:50]]
+        assert again == first[:50]
+        assert [order_compare(a, b) for a, b in zip(again, again[1:])] == [-1] * 49
