@@ -46,7 +46,6 @@ from .order import (
     p_max,
     p_min,
     p_test,
-    prefix_digits,
     pred,
     suc,
 )
@@ -515,7 +514,7 @@ def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     to depth_cap, which then leaves it unknown) would give.
     """
     def passes(m: int) -> bool:
-        return cylinder_within_eta(sys, bf, prefix_digits(x, m), prefix_digits(y, m),
+        return cylinder_within_eta(sys, bf, x.word(m), y.word(m),
                                    strictness)
 
     start = merge_level(x, y)

@@ -11,12 +11,14 @@ Four subcommands share one flag set (--system, --seed, --budget,
 
 Exit codes: 0 all assertions held, 1 an assertion or suite failed,
 2 malformed input (reported with line and column for scenario files)
-or a --json path that cannot be written.
+or a --json path that cannot be written.  The --json file is opened
+before any work starts, so an unwritable path costs no run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys as _sys
 
@@ -76,32 +78,46 @@ def _print_outcome(out: ScenarioOutcome) -> None:
     print(f"{len(out.results)} commands, {bad} failed")
 
 
-def _write_json(path, text: str) -> None:
-    # an unwritable path is bad input (exit 2), not a failed assertion
+def _json_file(path):
+    # opened before the work, so an unwritable path (bad input, exit 2)
+    # costs no run; append mode keeps an earlier file if the run fails
+    if not path:
+        return contextlib.nullcontext()
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        return open(path, "a", encoding="utf-8")
     except OSError as err:
-        raise ValueError(f"cannot write --json {path}: {err.strerror or err}") from None
+        raise _json_error(path, err) from None
 
 
-def _scenario_command(outcome: ScenarioOutcome, json_path) -> int:
+def _json_error(path, err: OSError) -> ValueError:
+    return ValueError(f"cannot write --json {path}: {err.strerror or err}")
+
+
+def _write_json(fh, text: str) -> None:
+    try:
+        fh.truncate(0)
+        fh.write(text if text.endswith("\n") else text + "\n")
+        fh.flush()
+    except OSError as err:
+        raise _json_error(fh.name, err) from None
+
+
+def _scenario_command(outcome: ScenarioOutcome, out) -> int:
     _print_outcome(outcome)
-    if json_path:
-        _write_json(json_path, outcome.to_json())
+    if out is not None:
+        _write_json(out, outcome.to_json())
     return outcome.exit_code
 
 
 def _cmd_run(args) -> int:
-    try:
-        outcome = run_scenario(args.path, system=args.system, seed=args.seed,
-                               budget=args.budget, depth_cap=args.depth_cap)
-    except OSError as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return 2
-    return _scenario_command(outcome, args.json_path)
+    with _json_file(args.json_path) as out:
+        try:
+            outcome = run_scenario(args.path, system=args.system, seed=args.seed,
+                                   budget=args.budget, depth_cap=args.depth_cap)
+        except OSError as err:
+            print(f"error: {err}", file=_sys.stderr)
+            return 2
+        return _scenario_command(outcome, out)
 
 
 def _cmd_fixture(args) -> int:
@@ -109,32 +125,33 @@ def _cmd_fixture(args) -> int:
     if not args.run:
         print(text, end="" if text.endswith("\n") else "\n")
         return 0
-    outcome = run_scenario_text(text, system=args.system, seed=args.seed,
-                                budget=args.budget, depth_cap=args.depth_cap)
-    return _scenario_command(outcome, args.json_path)
+    with _json_file(args.json_path) as out:
+        outcome = run_scenario_text(text, system=args.system, seed=args.seed,
+                                    budget=args.budget, depth_cap=args.depth_cap)
+        return _scenario_command(outcome, out)
 
 
 def _cmd_suite(args) -> int:
     names = list(SUITE_NAMES) if args.name == "all" else [args.name]
     reports = []
-    for system in args.system or [None]:
-        for name in names:
-            rep = run_suite(name, system, args.seed, args.budget)
-            reports.append(rep)
-            status = "ok  " if rep.ok else "FAIL"
-            print(f"{status}  {rep.suite:<20} system={rep.system} "
-                  f"samples={rep.samples} violations={len(rep.violations)}")
-            for v in rep.violations:
-                print(f"      #{v.index}: {v.description}"
-                      + (f"  [{v.witness}]" if v.witness else ""))
-    bad = sum(1 for rep in reports if not rep.ok)
-    print(f"{len(reports)} suites, {bad} failed")
-    if args.json_path:
-        payload = json.dumps(
-            {"exit": 1 if bad else 0,
-             "reports": [json.loads(rep.to_json()) for rep in reports]},
-            sort_keys=True, indent=2)
-        _write_json(args.json_path, payload)
+    with _json_file(args.json_path) as out:
+        for system in args.system or [None]:
+            for name in names:
+                rep = run_suite(name, system, args.seed, args.budget)
+                reports.append(rep)
+                status = "ok  " if rep.ok else "FAIL"
+                print(f"{status}  {rep.suite:<20} system={rep.system} "
+                      f"samples={rep.samples} violations={len(rep.violations)}")
+                for v in rep.violations:
+                    print(f"      #{v.index}: {v.description}"
+                          + (f"  [{v.witness}]" if v.witness else ""))
+        bad = sum(1 for rep in reports if not rep.ok)
+        print(f"{len(reports)} suites, {bad} failed")
+        if out is not None:
+            _write_json(out, json.dumps(
+                {"exit": 1 if bad else 0,
+                 "reports": [json.loads(rep.to_json()) for rep in reports]},
+                sort_keys=True, indent=2))
     return 1 if bad else 0
 
 
@@ -142,17 +159,18 @@ def _cmd_paper_examples(args) -> int:
     names = fixture_group(args.group)
     merged = ScenarioOutcome()
     code = 0
-    for name in names:
-        print(f"--- {name} ---")
-        outcome = run_scenario_text(
-            emit_fixture(name), seed=args.seed, budget=args.budget,
-            depth_cap=args.depth_cap)
-        _print_outcome(outcome)
-        merged.results.extend(outcome.results)
-        merged.reports.extend(outcome.reports)
-        code = max(code, outcome.exit_code)
-    if args.json_path:
-        _write_json(args.json_path, merged.to_json())
+    with _json_file(args.json_path) as out:
+        for name in names:
+            print(f"--- {name} ---")
+            outcome = run_scenario_text(
+                emit_fixture(name), seed=args.seed, budget=args.budget,
+                depth_cap=args.depth_cap)
+            _print_outcome(outcome)
+            merged.results.extend(outcome.results)
+            merged.reports.extend(outcome.reports)
+            code = max(code, outcome.exit_code)
+        if out is not None:
+            _write_json(out, merged.to_json())
     return code
 
 

@@ -67,7 +67,6 @@ from .order import (
     p_max,
     p_min,
     p_test,
-    prefix_digits,
     pred,
     prepend,
     replace_prefix,
@@ -250,11 +249,6 @@ def module(expr) -> Module:
     return Module(expr)
 
 
-def finite_level(sys: RefinementSystem, level: int, pairs,
-                 mode: Mode = Mode.IDEAL) -> FiniteLevel:
-    return FiniteLevel(close_finite_level(sys, level, pairs, mode))
-
-
 def expr_mode(expr) -> Mode:
     return Mode.MODULE if isinstance(expr, Module) else Mode.IDEAL
 
@@ -305,7 +299,7 @@ def _member(sys, expr, x, y, mode, cap) -> Verdict:
         return VERDICT_NO
     if isinstance(expr, FiniteLevel):
         level = expr.units.level
-        px, py = prefix_digits(x, level), prefix_digits(y, level)
+        px, py = x.word(level), y.word(level)
         for u, v in expr.units.pairs:
             if px <= u and v <= py:
                 return verdict_yes(level)
@@ -532,10 +526,6 @@ def tailset_remove_point(s: RefinementSystem, ts: TailSet, w: Point) -> TailSet:
     return tailset_union(s, tuple(out))
 
 
-def tailset_contains(ts: TailSet, w: Point) -> bool:
-    return any(interval_contains(iv, w) for iv in ts)
-
-
 def tailset_is_all(s: RefinementSystem, ts: TailSet) -> bool:
     return len(ts) == 1 and ts[0] == full_interval(s)
 
@@ -564,7 +554,7 @@ def violation_tailset(sys: RefinementSystem, expr,
 
 def _threshold_up(sys, s, word: Word, a: Point) -> TailSet:
     # {w : a <= word w}
-    pa = prefix_digits(a, len(word))
+    pa = a.word(len(word))
     if word > pa:
         return _ts_all(s)
     if word < pa:
@@ -574,7 +564,7 @@ def _threshold_up(sys, s, word: Word, a: Point) -> TailSet:
 
 def _threshold_down(sys, s, word: Word, b: Point) -> TailSet:
     # {w : word w <= b}
-    pb = prefix_digits(b, len(word))
+    pb = b.word(len(word))
     if word < pb:
         return _ts_all(s)
     if word > pb:
@@ -584,7 +574,7 @@ def _threshold_down(sys, s, word: Word, b: Point) -> TailSet:
 
 def _matched_tail(sys, u: Word, v: Word, a: Point, b: Point) -> Optional[Point]:
     n = len(u)
-    if prefix_digits(a, n) != u or prefix_digits(b, n) != v:
+    if a.word(n) != u or b.word(n) != v:
         return None
     ta, tb = tail_of(sys, a, n), tail_of(sys, b, n)
     return ta if ta == tb else None

@@ -25,7 +25,6 @@ from .boundary import (
     PiecewiseBF,
     bf_join,
     bf_meet,
-    const_bf,
     eval_bf,
     level_set_max,
     make_bf,
@@ -65,7 +64,6 @@ from .order import (
     p_min,
     p_test,
     pred,
-    prefix_digits,
     suc,
     word_at,
     word_rank,
@@ -75,109 +73,52 @@ _KEY = functools.cmp_to_key(order_compare)
 
 
 # ---------------------------------------------------------------------------
-# symbolic subsets of X
-
-# a part filters the members of one order interval; an infinite order
-# interval contains infinitely many points of every kind, so deciding
-# cardinality only ever needs the small-interval enumeration
-_KINDS = ("all", "no_gap_below", "gap_below_only", "gap_above_only")
+# values read off the normal form
 
 
-@dataclass(frozen=True)
-class IntervalPart:
-    ival: OrderInterval
-    kind: str = "all"
+def _values(sys: RefinementSystem, bf: PiecewiseBF,
+            dropped: bool) -> Optional[list[Point]]:
+    """Sorted distinct image values, or with dropped set the values the
+    function drops to (phi(y) < y); None when there are infinitely many.
 
-
-@dataclass(frozen=True)
-class SymbolicSet:
-    """Finite union of filtered order intervals and isolated points."""
-
-    parts: tuple = ()
-    points: tuple = ()
-
-
-def _kind_ok(sys: RefinementSystem, kind: str, x: Point) -> bool:
-    if kind == "all":
-        return True
-    if kind == "no_gap_below":
-        return not has_gap_below(sys, x)
-    if kind == "gap_below_only":
-        return has_gap_below(sys, x)
-    if kind == "gap_above_only":
-        return has_gap_above(sys, x)
-    raise ValueError(f"unknown part kind: {kind!r}")
-
-
-def set_values(sys: RefinementSystem, s: SymbolicSet) -> Optional[list[Point]]:
-    """Sorted distinct members when the set is finite, else None."""
-    out = list(s.points)
-    for part in s.parts:
-        small = interval_small_points(sys, part.ival)
-        if small is None:
-            return None
-        out.extend(p for p in small if _kind_ok(sys, part.kind, p))
-    dedup: list[Point] = []
-    for p in sorted(out, key=_KEY):
-        if not dedup or dedup[-1] != p:
-            dedup.append(p)
-    return dedup
-
-
-@dataclass(frozen=True)
-class DropDescriptor:
-    """Where the function falls below the identity, and to what values."""
-
-    ed: SymbolicSet
-    rd: SymbolicSet
-
-
-def _part(sys, lo, hi, lo_open, hi_open, kind) -> Optional[IntervalPart]:
-    try:
-        return IntervalPart(interval(sys, lo, hi, lo_open, hi_open), kind)
-    except EmptyIntervalError:
-        return None
-
-
-def range_and_drop(sys: RefinementSystem,
-                   bf: PiecewiseBF) -> tuple[SymbolicSet, DropDescriptor]:
-    """Exact image of the function, plus its drop sets."""
-    ran_parts, ran_points = [], []
-    ed_parts, rd_parts, rd_points = [], [], []
+    In the normal form a piece with one or two points carries an id or
+    const leaf, so an id- piece is infinite, and so are its image and
+    the values it drops to.
+    """
+    out = []
     for ival, leaf in bf.pieces:
-        if isinstance(leaf, Const):
-            ran_points.append(leaf.value)
-            above = _part(sys, leaf.value, ival.hi, True, ival.hi_open, "all")
-            if above is not None:
-                inter = interval_intersect(sys, above.ival, ival)
-                if inter is not None:
-                    ed_parts.append(IntervalPart(inter))
-                    rd_points.append(leaf.value)
-            continue
         if isinstance(leaf, IdentityMinus):
-            img_lo, img_lo_open = ((ival.lo, True) if ival.lo_open
-                                   else (minus_point(sys, ival.lo), False))
-            img_hi, img_hi_open = ((ival.hi, True) if ival.hi_open
-                                   else (minus_point(sys, ival.hi), False))
-            p = _part(sys, img_lo, img_hi, img_lo_open, img_hi_open,
-                      "no_gap_below")
-            if p is not None:
-                ran_parts.append(p)
-            ed_parts.append(IntervalPart(ival, "gap_below_only"))
-            # dropped-to values: predecessors of the gap-below points
-            rd_hi, rd_hi_open = ((ival.hi, True) if ival.hi_open
-                                 else (minus_point(sys, ival.hi),
-                                       not has_gap_below(sys, ival.hi)))
-            p = _part(sys, img_lo, rd_hi, img_lo_open, rd_hi_open,
-                      "gap_above_only")
-            if p is not None:
-                rd_parts.append(p)
-            continue
-        ran_parts.append(IntervalPart(ival))
-    ran = SymbolicSet(tuple(ran_parts), tuple(ran_points))
-    drop = DropDescriptor(SymbolicSet(tuple(ed_parts)),
-                          SymbolicSet(tuple(rd_parts), tuple(rd_points)))
-    return ran, drop
+            return None
+        if isinstance(leaf, Const):
+            if not dropped or _drops_below(sys, ival, leaf.value):
+                out.append(leaf.value)
+        elif not dropped:
+            small = interval_small_points(sys, ival)
+            if small is None:
+                return None
+            out.extend(small)
+    return sorted(set(out), key=_KEY)
+
+
+def _drops_below(sys, ival: OrderInterval, value: Point) -> bool:
+    # does the piece hold a point above its constant value?
+    try:
+        above = interval(sys, value, ival.hi, True, ival.hi_open)
+    except EmptyIntervalError:
+        return False
+    return interval_intersect(sys, above, ival) is not None
+
+
+def _infinite_image(sys, bf: PiecewiseBF) -> OrderInterval:
+    """Image of the first piece whose image is infinite."""
+    for ival, leaf in bf.pieces:
+        if isinstance(leaf, IdentityMinus):
+            lo = ival.lo if ival.lo_open else minus_point(sys, ival.lo)
+            hi = ival.hi if ival.hi_open else minus_point(sys, ival.hi)
+            return interval(sys, lo, hi, ival.lo_open, ival.hi_open)
+        if leaf == ID and interval_small_points(sys, ival) is None:
+            return ival
+    raise _internal("no piece has an infinite image")
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +210,8 @@ def _gap_below_points_inside(sys: RefinementSystem, ival: OrderInterval,
     """
     bottom = p_min(sys)
     for n in range(1, 200):
-        ra = word_rank(sys, prefix_digits(ival.lo, n))
-        rb = word_rank(sys, prefix_digits(ival.hi, n))
+        ra = word_rank(sys, ival.lo.word(n))
+        rb = word_rank(sys, ival.hi.word(n))
         if rb - ra <= count:
             continue
         out = []
@@ -329,8 +270,7 @@ def _check_witnesses(sys, phi, w1, w2, combine, what: str) -> None:
 def classify_meet_bf(sys: RefinementSystem, phi: PiecewiseBF) -> MeetClass:
     """Meet irreducibility, decided by the set of dropped-to values."""
     _require_ideal(phi)
-    _, drop = range_and_drop(sys, phi)
-    vals = set_values(sys, drop.rd)
+    vals = _values(sys, phi, dropped=True)
 
     if vals is not None and not vals:
         if bf_form(sys, phi).tag != "identity":
@@ -341,8 +281,7 @@ def classify_meet_bf(sys: RefinementSystem, phi: PiecewiseBF) -> MeetClass:
         # a stretch drops densely; harvest two well-separated dropped-to
         # values from inside it
         ival = next(iv for iv, leaf in phi.pieces
-                    if isinstance(leaf, IdentityMinus)
-                    and interval_small_points(sys, iv) is None)
+                    if isinstance(leaf, IdentityMinus))
         ys = _gap_below_points_inside(sys, ival, 4)
         return _reduce_meet(sys, phi, pred(sys, ys[0]), pred(sys, ys[3]))
 
@@ -404,14 +343,11 @@ def _reduce_meet(sys, phi, a: Point, c: Point) -> MeetClass:
 def classify_join_bf(sys: RefinementSystem, phi: PiecewiseBF) -> JoinClass:
     """Join irreducibility, decided by the size of the image."""
     _require_ideal(phi)
-    ran, _ = range_and_drop(sys, phi)
-    vals = set_values(sys, ran)
+    vals = _values(sys, phi, dropped=False)
     bottom = p_min(sys)
 
     if vals is None:
-        ival = next(p.ival for p in ran.parts
-                    if interval_small_points(sys, p.ival) is None)
-        ys = _gap_below_points_inside(sys, ival, 4)
+        ys = _gap_below_points_inside(sys, _infinite_image(sys, phi), 4)
         a, b = pred(sys, ys[1]), pred(sys, ys[3])
         c = construct_between_no_gap_below(sys, a, b)
         if c is None:
@@ -561,8 +497,8 @@ def construct_family(sys: RefinementSystem, kind: str, *,
     """Build one of the named ideal sets or boundary functions.
 
     Parameter constraints are enforced here with the violated clause
-    named; the function families additionally pass full validation on
-    construction.
+    named.  Under them phi_ab, psi_paab and phi_at are the boundary
+    functions of Strip(a, b), StripPlus(a, b) and Corner(a, t).
     """
     lo, hi = p_min(sys), p_max(sys)
     if kind == "strip":
@@ -580,13 +516,7 @@ def construct_family(sys: RefinementSystem, kind: str, *,
             raise _family_error("plateau needs a < b")
         if has_gap_below(sys, a):
             raise _family_error("Property2b: the plateau value has a gap below")
-        pieces = []
-        if a != lo:
-            pieces.append((interval(sys, lo, a, hi_open=True), ID))
-        pieces.append((interval(sys, a, b), Const(a)))
-        if b != hi:
-            pieces.append((interval(sys, b, hi, lo_open=True), ID))
-        return make_bf(sys, pieces)
+        return boundary_of(sys, Strip(a, b))
     if kind == "psi_paab":
         if not has_gap_below(sys, a):
             raise _family_error("the step form needs a gap below a")
@@ -596,20 +526,11 @@ def construct_family(sys: RefinementSystem, kind: str, *,
             raise _family_error("Property2a: (a, b) must be linked")
         if not has_gap_below(sys, b):
             raise _family_error("Property2b: b must have a gap below")
-        pieces = [(interval(sys, lo, a, hi_open=True), ID),
-                  (interval(sys, a, b, hi_open=True), Const(pred(sys, a))),
-                  (interval(sys, b, b), Const(a))]
-        if b != hi:
-            pieces.append((interval(sys, b, hi, lo_open=True), ID))
-        return make_bf(sys, pieces)
+        return boundary_of(sys, StripPlus(a, b))
     if kind == "phi_at":
         if not (le(a, t) and lt(t, hi)):
             raise _family_error("the step needs a <= t < p_max")
         if has_gap_below(sys, a):
             raise _family_error("Property2b: the upper value has a gap below")
-        if a == lo:
-            return const_bf(sys, lo)
-        pieces = [(interval(sys, lo, t), Const(lo)),
-                  (interval(sys, t, hi, lo_open=True), Const(a))]
-        return make_bf(sys, pieces)
+        return boundary_of(sys, Corner(a, t))
     raise ValueError(f"unknown family: {kind!r}")

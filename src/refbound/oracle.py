@@ -44,7 +44,6 @@ from .order import (
     parse_system,
     point,
     pred,
-    prefix_digits,
     replace_prefix,
     suc,
     word_at,
@@ -248,7 +247,7 @@ def _random_gap_pair_linked(sys, rng) -> tuple[Point, Point]:
     """Two orbit-linked points that both have a gap below."""
     a = suc(sys, gap_point(sys, rng.randrange(1, 9)))
     n = max(1, len(a.preamble))
-    r = word_rank(sys, prefix_digits(a, n))
+    r = word_rank(sys, a.word(n))
     total = word_count(sys, n)
     if r + 1 >= total:
         return a, a
@@ -573,7 +572,7 @@ def _suite_def_biconditions(sys, rng, budget, rec):
             rec.check(suc(sys, p) == x and lt(p, x),
                       "predecessor and successor must invert each other",
                       lambda: _wp(sys, x=x, p=p))
-        w = prefix_digits(x, max(len(x.preamble), sys.prefix_len))
+        w = x.word(max(len(x.preamble), sys.prefix_len))
         rec.check(has_gap_above(sys, x)
                   == (x != p_max(sys) and x == max_tail_point(sys, w)),
                   "gap above means a maximal tail short of the top",
@@ -596,7 +595,7 @@ def _suite_def_biconditions(sys, rng, budget, rec):
                       lambda: _wp(sys, x=x, y=y))
     for x in pts[:4 + budget]:
         for n in (1, 2, 3):
-            lo, hi = cylinder_bounds(sys, prefix_digits(x, n))
+            lo, hi = cylinder_bounds(sys, x.word(n))
             rec.check(le(lo, x) and le(x, hi),
                       "a point must sit inside its own cylinder",
                       lambda: _wp(sys, x=x, lo=lo, hi=hi))

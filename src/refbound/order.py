@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterator, Optional, Sequence
 
 
@@ -228,40 +228,32 @@ def _canonical_point(sys: RefinementSystem, pre: tuple[int, ...],
     return Point(s[:m], s[m:m + lc])
 
 
-def prefix_digits(x: Point, n: int) -> tuple[int, ...]:
-    return x.word(n)
-
-
 # ---------------------------------------------------------------------------
 # order and orbit
 
 
-def _joint_words(x: Point, y: Point) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    # (w, x's word, y's word) up to w + lcm of the periods, where w is the
-    # longer preamble: the digit strings are equal iff these words are
-    w = max(len(x.preamble), len(y.preamble))
-    span = w + lcm(len(x.period), len(y.period))
-    return w, _unroll(x.head, x.period, span), _unroll(y.head, y.period, span)
-
-
-def _ordering_words(x: Point, y: Point) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # words that hold the first difference of x and y, if there is one.
-    # When neither period divides the other the joint span of
-    # _joint_words is longer than one period, so the prefix up to the
-    # longer preamble plus the longer period is compared first.
+def _periodic_span(x: Point, y: Point) -> int:
+    # past the longer preamble both digit strings are periodic, and two
+    # such strings that agree on lx + ly - gcd(lx, ly) places are equal
+    # (Fine and Wilf, 1965)
     lx, ly = len(x.period), len(y.period)
-    span = max(len(x.preamble), len(y.preamble)) + (lx if lx > ly else ly)
-    a, b = _unroll(x.head, x.period, span), _unroll(y.head, y.period, span)
-    if lx % ly and ly % lx and a == b:
-        _, a, b = _joint_words(x, y)
-    return a, b
+    return lx + ly - gcd(lx, ly)
+
+
+def _joint_words(x: Point, y: Point) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    # (w, x's word, y's word), where w is the longer preamble: the digit
+    # strings are equal iff these words are, and the words hold their
+    # first difference
+    w = max(len(x.preamble), len(y.preamble))
+    span = w + _periodic_span(x, y)
+    return w, _unroll(x.head, x.period, span), _unroll(y.head, y.period, span)
 
 
 def first_difference(x: Point, y: Point) -> Optional[int]:
     """First position where the digit strings differ, or None if equal."""
     if x is y:
         return None
-    a, b = _ordering_words(x, y)
+    _, a, b = _joint_words(x, y)
     if a == b:
         return None
     return next(itertools.compress(itertools.count(1), map(operator.ne, a, b)))
@@ -274,7 +266,7 @@ def order_compare(x: Point, y: Point) -> int:
     to the shorter length hold both points' first digits exactly, so
     they decide whenever they differ; equal cut heads with equal
     preamble and period lengths are equal points.  Only what is left
-    unrolls the ordering words.
+    unrolls the joint words.
     """
     if x is y:
         return 0
@@ -286,7 +278,7 @@ def order_compare(x: Point, y: Point) -> int:
     if a == b:
         if len(x.preamble) == len(y.preamble) and len(x.period) == len(y.period):
             return 0
-        a, b = _ordering_words(x, y)
+        _, a, b = _joint_words(x, y)
         if a == b:
             return 0
     return -1 if a < b else 1
@@ -294,7 +286,7 @@ def order_compare(x: Point, y: Point) -> int:
 
 def compare_beyond(x: Point, y: Point, n: int) -> int:
     """Order of the digit strings of x and y from position n + 1 on."""
-    span = max(n, len(x.preamble), len(y.preamble)) + lcm(len(x.period), len(y.period))
+    span = max(n, len(x.preamble), len(y.preamble)) + _periodic_span(x, y)
     a, b = x.word(span)[n:], y.word(span)[n:]
     if a == b:
         return 0

@@ -227,7 +227,7 @@ class _Engine:
         except ValueError as err:
             self._fail(line, col, str(err))
 
-    def _decl_name(self, toks, line, kind, table):
+    def _decl_name(self, toks, line, kind):
         name, col = self._take(toks, 1, line, f"a {kind} name")
         if name in self.points or name in self.ideals or name in self.bfs:
             self._fail(line, col, f"name {name!r} is already bound")
@@ -237,7 +237,7 @@ class _Engine:
         return name
 
     def _decl_point(self, line, toks):
-        name = self._decl_name(toks, line, "point", self.points)
+        name = self._decl_name(toks, line, "point")
         tok, col = self._take(toks, 3, line, "a point literal")
         self._no_surplus(toks, 4, line)
         s = self._system_or_fail(line, col)
@@ -247,7 +247,7 @@ class _Engine:
             self._fail(line, col, str(err))
 
     def _decl_ideal(self, line, text, toks):
-        name = self._decl_name(toks, line, "ideal", self.ideals)
+        name = self._decl_name(toks, line, "ideal")
         kw, col = self._take(toks, 3, line, "an ideal constructor")
         if kw in _IDEAL_ARGS:
             self._no_surplus(toks, 4 + _IDEAL_ARGS[kw], line)
@@ -308,7 +308,7 @@ class _Engine:
         self._fail(line, col, f"unknown ideal constructor {kw!r}")
 
     def _decl_bf(self, line, text, toks):
-        name = self._decl_name(toks, line, "boundary function", self.bfs)
+        name = self._decl_name(toks, line, "boundary function")
         kw, col = self._take(toks, 3, line, "a function constructor")
         if kw in _BF_ARGS:
             self._no_surplus(toks, 4 + _BF_ARGS[kw], line)

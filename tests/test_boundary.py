@@ -77,7 +77,6 @@ from refbound.order import (
     parse_point,
     parse_system,
     pred,
-    prefix_digits,
     prepend,
     suc,
     tail_of,
@@ -450,7 +449,7 @@ def _scan_levels(sys, bf, x, y, strictness, depth_cap=None):
     bound = max(start, data + 2 * period)
     stop = bound if depth_cap is None else min(depth_cap, bound)
     for m in range(start, stop + 1):
-        if cylinder_within_eta(sys, bf, prefix_digits(x, m), prefix_digits(y, m), strictness):
+        if cylinder_within_eta(sys, bf, x.word(m), y.word(m), strictness):
             return Verdict("yes", m), data
     return (Verdict("unknown", stop) if stop < bound else Verdict("no")), data
 
@@ -501,7 +500,7 @@ class TestLevelSearch:
                         yes += 1
                         # the witnessing cylinder follows from the level
                         m = got.level
-                        u, v = prefix_digits(target, m), prefix_digits(y, m)
+                        u, v = target.word(m), y.word(m)
                         assert cylinder_within_eta(sys, f, u, v, Strictness.RAISED)
         assert yes > 0
 
@@ -609,14 +608,14 @@ class TestWordLinkage:
                            if isinstance(leaf, Const) else ())]
                 for g in _raw_spellings(sys, f):
                     for n in LINK_LEVELS:
-                        words = [prefix_digits(z, n) for z in ends + pool]
+                        words = [z.word(n) for z in ends + pool]
                         for _ in range(6):
                             u, v = rng.choice(words), rng.choice(words)
                             if rng.random() < 0.5:
                                 # v at a piece end, u at its value or at v
                                 ival, leaf = rng.choice(f.pieces)
-                                v = prefix_digits(rng.choice((ival.lo, ival.hi)), n)
-                                u = prefix_digits(leaf.value, n) \
+                                v = rng.choice((ival.lo, ival.hi)).word(n)
+                                u = leaf.value.word(n) \
                                     if isinstance(leaf, Const) and rng.random() < 0.7 else v
                             if n and rng.random() < 0.2:
                                 # a digit outside 1..k_i in u or in v

@@ -307,6 +307,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv", [
         ["run", "SCENARIO"],
+        ["fixture", "trivial", "--run"],
         ["paper-examples", "section3"],
         ["suite", "lemma8"],
     ], ids=lambda argv: argv[0])
@@ -317,9 +318,25 @@ class TestCLI:
         target = tmp_path / "no" / "such" / "x.json" if where == "missing-dir" else tmp_path
         argv = [str(scenario) if a == "SCENARIO" else a for a in argv]
         assert main(argv + ["--json", str(target)]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith(f"error: cannot write --json {target}: ")
         assert "Traceback" not in err
+        # the path is checked before any work: no suite or command ran
+        assert out == ""
+
+    def test_failed_run_keeps_an_earlier_json_file(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.scn"
+        scenario.write_text("system ;2\nbf f = nonsense\n")
+        path = tmp_path / "out.json"
+        path.write_text('{"exit": 0}\n')
+        assert main(["run", str(scenario), "--json", str(path)]) == 2
+        capsys.readouterr()
+        assert path.read_text() == '{"exit": 0}\n'
+        scenario.write_text("system ;2\nbf f = identity\neval f |2 expect |2\n")
+        assert main(["run", str(scenario), "--json", str(path)]) == 0
+        capsys.readouterr()
+        data = json.loads(path.read_text())  # replaced, not appended to
+        assert data["exit"] == 0 and len(data["commands"]) == 2
 
     def test_paper_examples_json(self, tmp_path, capsys):
         path = tmp_path / "pe.json"

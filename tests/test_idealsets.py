@@ -20,7 +20,9 @@ from refbound.order import (
     full_interval,
     has_gap_below,
     interval,
+    interval_contains,
     le,
+    level_words,
     lt,
     orbit_test,
     p_max,
@@ -35,6 +37,7 @@ from refbound.idealsets import (
     Empty,
     FiniteLevel,
     Full,
+    Intersection,
     MatrixUnitSet,
     OfBFClosed,
     OfBFOpen,
@@ -43,7 +46,6 @@ from refbound.idealsets import (
     boundary_of,
     close_finite_level,
     combine,
-    finite_level,
     in_B_phi,
     in_L_phi,
     intersection,
@@ -51,7 +53,6 @@ from refbound.idealsets import (
     module,
     restrict_to_level,
     sandwich_check,
-    tailset_contains,
     tailset_intersect,
     tailset_is_all,
     tailset_remove_point,
@@ -66,6 +67,10 @@ BIN = parse_system(";2")
 
 def pt(text: str) -> Point:
     return parse_point(BIN, text)
+
+
+def in_tailset(ts, w: Point) -> bool:
+    return any(interval_contains(iv, w) for iv in ts)
 
 
 def shapes(bf):
@@ -109,11 +114,11 @@ class TestFiniteLevels:
         assert codes == ["IdealPropertyViolation"]
 
     def test_closed_set_validates(self):
-        fl = finite_level(BIN, 2, [((1, 2), (2, 1))])
+        fl = FiniteLevel(close_finite_level(BIN, 2, [((1, 2), (2, 1))]))
         assert validate_ideal_expr(BIN, fl) == []
 
     def test_membership_through_prefixes(self):
-        fl = finite_level(BIN, 1, [((1,), (2,))])
+        fl = FiniteLevel(close_finite_level(BIN, 1, [((1,), (2,))]))
         assert member(BIN, fl, pt("11|2"), pt("2|2")).is_yes
         assert member(BIN, fl, pt("|1"), pt("|2")).is_no  # different orbits
         assert member(BIN, fl, pt("2|1"), pt("22|1")).is_no  # x starts too high
@@ -243,7 +248,7 @@ class TestBoundaries:
                        ("2|21", "|2", Const(self.a))]
 
     def test_finite_level(self):
-        fl = finite_level(BIN, 1, [((1,), (2,))])
+        fl = FiniteLevel(close_finite_level(BIN, 1, [((1,), (2,))]))
         got = shapes(boundary_of(BIN, fl))
         assert got == [("|1", "1|2", Const(pt("|1"))),
                        ("2|1", "|2", Const(pt("1|2")))]
@@ -305,9 +310,9 @@ class TestTailSets:
     def test_remove_point(self):
         w = parse_point(self.S, "|21")
         got = tailset_remove_point(self.S, (full_interval(self.S),), w)
-        assert not tailset_contains(got, w)
-        assert tailset_contains(got, parse_point(self.S, "|1"))
-        assert tailset_contains(got, parse_point(self.S, "|2"))
+        assert not in_tailset(got, w)
+        assert in_tailset(got, parse_point(self.S, "|1"))
+        assert in_tailset(got, parse_point(self.S, "|2"))
 
 
 class TestRestriction:
@@ -343,7 +348,7 @@ class TestRestriction:
         assert sorted(got.pairs) == [((1,), (1,)), ((1,), (2,)), ((2,), (2,))]
 
     def test_restrict_finite_level_deeper(self):
-        fl = finite_level(BIN, 1, [((1,), (2,))])
+        fl = FiniteLevel(close_finite_level(BIN, 1, [((1,), (2,))]))
         got = restrict_to_level(BIN, fl, 2)
         assert sorted(got.pairs) == [
             ((1, 1), (2, 1)), ((1, 1), (2, 2)),
@@ -374,6 +379,37 @@ class TestRestriction:
                 split = all((u + (d,), v + (d,)) in children for d in (1, 2))
                 assert inside == split
 
+    @pytest.mark.parametrize("sys_text", [";2", ";2,3"])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_intersection_restricts_to_the_common_blocks(self, sys_text, level):
+        sys = parse_system(sys_text)
+        a, b, t = (parse_point(sys, x) for x in ("|12", "22|12", "2|21"))
+        parts = (Strip(a, b), Corner(a, t),
+                 FiniteLevel(close_finite_level(sys, 1, [((1,), (2,))])))
+        for i in range(len(parts)):
+            chosen = parts[:i] + parts[i + 1:]
+            got = restrict_to_level(sys, Intersection(chosen), level).pairs
+            want = frozenset.intersection(
+                *(restrict_to_level(sys, p, level).pairs for p in chosen))
+            assert got == want
+
+    @pytest.mark.parametrize("sys_text,gens", [
+        (";2", [((1, 2), (2, 1))]),
+        (";2", [((1, 1), (1, 2)), ((2, 1), (2, 1))]),
+        (";2,3", [((1, 3), (2, 1))]),
+        (";2,3", [((1, 1), (1, 3)), ((2, 2), (2, 2))]),
+    ])
+    def test_finite_level_restricted_to_a_coarser_level(self, sys_text, gens):
+        # (u, v) holds its whole block iff every one-digit extension is a pair
+        sys = parse_system(sys_text)
+        units = close_finite_level(sys, 2, gens)
+        got = restrict_to_level(sys, FiniteLevel(units), 1).pairs
+        words = list(level_words(sys, 1))
+        want = {(u, v) for u in words for v in words if u <= v
+                and all((u + (d,), v + (d,)) in units.pairs
+                        for d in range(1, sys.k_at(2) + 1))}
+        assert got == want
+
     def test_members_sit_outside_their_violation_tails(self):
         sp = StripPlus(self.a, self.b)
         for u, v in (((1,), (2,)), ((1,), (1,)), ((2,), (2,))):
@@ -381,7 +417,7 @@ class TestRestriction:
             for w_text in ("|1", "|12", "|21", "|2", "12|21"):
                 w = parse_point(BIN.shift(1), w_text)
                 x, y = prepend(BIN, u, w), prepend(BIN, v, w)
-                expected = not tailset_contains(viol, w)
+                expected = not in_tailset(viol, w)
                 assert member(BIN, sp, x, y).is_yes == expected
 
 
@@ -420,6 +456,19 @@ class TestValidation:
         assert validate_ideal_expr(BIN, expr) == []
         codes = [v.code for v in validate_ideal_expr(BIN, bad)]
         assert codes == ["ConstructorViolation"]
+
+    @pytest.mark.parametrize("units,detail", [
+        (MatrixUnitSet(1, frozenset({((1,), (2,))}), Mode.MODULE),
+         "matrix-unit set mode module under ideal expression"),
+        (MatrixUnitSet(0, frozenset()), "level must be at least 1"),
+        (MatrixUnitSet(2, frozenset({((1,), (2, 1))})), "word (1,) is not at level 2"),
+        (MatrixUnitSet(1, frozenset({((1,), (3,))})), "digit 3 out of range in (3,)"),
+        (MatrixUnitSet(1, frozenset({((2,), (1,))})),
+         "pair (2,) > (1,) cannot link in an ideal set"),
+    ], ids=["mode", "level-0", "word-length", "digit", "reversed"])
+    def test_malformed_matrix_unit_sets(self, units, detail):
+        got = validate_ideal_expr(BIN, FiniteLevel(units))
+        assert [(v.code, v.detail) for v in got] == [("ConstructorViolation", detail)]
 
     def test_combine_refuses_module_parts(self):
         with pytest.raises(RefinementError):

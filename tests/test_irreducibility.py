@@ -1,19 +1,27 @@
 """Classifier tests: normal-form tags, witnesses, and the set catalogs."""
 
+import random
+
 import pytest
 
 from refbound.boundary import (
     Const,
     ID,
     ID_MINUS,
+    IdentityMinus,
     Mode,
+    PiecewiseBF,
     bf_eq,
     bf_join,
     bf_meet,
+    bf_minus,
     const_bf,
     eval_bf,
+    format_bf,
     identity_bf,
     make_bf,
+    normalize_bf,
+    parse_bf,
     sigma_member,
 )
 from refbound.idealsets import (
@@ -34,17 +42,16 @@ from refbound.irreducibility import (
     classify_meet_bf,
     classify_meet_ideal,
     construct_family,
-    range_and_drop,
-    set_values,
+    _values,
 )
+from refbound.oracle import random_bf
 from refbound.order import (
     RefinementError,
     full_interval,
     has_gap_above,
     has_gap_below,
     interval,
-    interval_contains,
-    le,
+    interval_small_points,
     lt,
     p_max,
     p_min,
@@ -60,61 +67,85 @@ def pt(text):
     return parse_point(BIN, text)
 
 
-def set_contains(sys, s, x):
-    """Is x in the symbolic set s (its points, or a part's interval of the part's kind)?"""
-    kind_ok = {"all": True, "no_gap_below": not has_gap_below(sys, x),
-               "gap_below_only": has_gap_below(sys, x), "gap_above_only": has_gap_above(sys, x)}
-    return x in s.points or any(interval_contains(part.ival, x) and kind_ok[part.kind]
-                                for part in s.parts)
-
-
-def vals(sym):
-    got = set_values(BIN, sym)
-    return None if got is None else [v for v in got]
+def values(f, dropped):
+    return _values(BIN, f, dropped)
 
 
 class TestRangeAndDrop:
+    """Image values and dropped-to values read off the normal form."""
+
     def test_identity_has_no_drops(self):
-        ran, drop = range_and_drop(BIN, identity_bf(BIN))
-        assert vals(drop.rd) == []
-        assert vals(drop.ed) == []
-        assert vals(ran) is None  # the whole space
-        assert set_contains(BIN, ran, pt("21|2"))
+        assert values(identity_bf(BIN), dropped=True) == []
+        assert values(identity_bf(BIN), dropped=False) is None  # the whole space
 
     def test_minimal_range_is_bottom_only(self):
-        ran, drop = range_and_drop(BIN, const_bf(BIN, p_min(BIN)))
-        assert vals(ran) == [pt("|1")]
+        f = const_bf(BIN, p_min(BIN))
+        assert values(f, dropped=False) == [pt("|1")]
         # everything above the bottom drops
-        assert vals(drop.rd) == [pt("|1")]
-        assert vals(drop.ed) is None
+        assert values(f, dropped=True) == [pt("|1")]
 
     def test_plateau_drop_is_its_value(self):
         f = construct_family(BIN, "phi_ab", a=pt("|21"), b=pt("2|21"))
-        ran, drop = range_and_drop(BIN, f)
-        assert vals(drop.rd) == [pt("|21")]
-        assert vals(drop.ed) is None
-        assert set_contains(BIN, ran, pt("|21"))
-        assert set_contains(BIN, ran, pt("221|2"))  # above the plateau
-        assert not set_contains(BIN, ran, pt("2122|1"))  # swallowed by it
+        assert values(f, dropped=True) == [pt("|21")]
+        assert values(f, dropped=False) is None
 
     def test_step_form_range_is_two_points(self):
         f = construct_family(BIN, "phi_at", a=pt("|21"), t=pt("21|2"))
-        ran, _ = range_and_drop(BIN, f)
-        assert vals(ran) == [pt("|1"), pt("|21")]
+        assert values(f, dropped=False) == [pt("|1"), pt("|21")]
+        assert values(f, dropped=True) == [pt("|1"), pt("|21")]
 
     def test_stepped_gap_form_drops_to_gap_pair(self):
         g = construct_family(BIN, "psi_paab", a=pt("2|1"), b=pt("22|1"))
-        _, drop = range_and_drop(BIN, g)
-        assert vals(drop.rd) == [pt("1|2"), pt("2|1")]
+        assert values(g, dropped=True) == [pt("1|2"), pt("2|1")]
 
     def test_left_limit_leaf_drops_densely(self):
         f = make_bf(BIN, [(full_interval(BIN), ID_MINUS)])
-        ran, drop = range_and_drop(BIN, f)
-        assert vals(drop.rd) is None
-        assert vals(ran) is None
-        # eventually-low points are skipped over by the left limit
-        assert not set_contains(BIN, ran, pt("22|1"))
-        assert set_contains(BIN, ran, pt("|21"))
+        assert values(f, dropped=True) is None
+        assert values(f, dropped=False) is None
+
+
+def left_limit_pieces(f):
+    return [ival for ival, leaf in f.pieces if isinstance(leaf, IdentityMinus)]
+
+
+TEN_SYSTEMS = (";2", ";2,3", "3;2", ";3", ";11", "2;2,2,3", "12;2,13", ";2,3,5",
+               ";7,11", "5,13;3,4,7")
+
+
+class TestLeftLimitPiecesAreInfinite:
+    """_values treats every id- piece as infinite: the normal form gives a
+    piece with one or two points an id or const leaf."""
+
+    @pytest.mark.parametrize("text", TEN_SYSTEMS)
+    def test_random_functions(self, text):
+        sys = parse_system(text)
+        rng = random.Random(f"left-limit|{text}")
+        seen = 0
+        for _ in range(60):
+            f = random_bf(sys, rng)
+            for g in (f, bf_minus(sys, f)):
+                for ival in left_limit_pieces(g):
+                    seen += 1
+                    assert interval_small_points(sys, ival) is None, format_bf(sys, g)
+        assert seen > 0
+
+    @pytest.mark.parametrize("lo,hi,want", [
+        ("1|2", "2|1", "[|1, 1|2] -> id; [2|1, 2|1] -> const(1|2); (2|1, |2] -> id"),
+        ("2|1", "2|1", "[|1, 1|2] -> id; [2|1, 2|1] -> const(1|2); (2|1, |2] -> id"),
+        ("1|2", "1|2", "[|1, |2] -> id"),
+        ("|1", "|1", "[|1, |2] -> id"),
+        ("|2", "|2", "[|1, |2] -> id"),
+    ])
+    def test_small_pieces_get_other_leaves(self, lo, hi, want):
+        lo, hi = pt(lo), pt(hi)
+        pieces = [(interval(BIN, lo, hi), ID_MINUS)]
+        if lo != p_min(BIN):
+            pieces.insert(0, (interval(BIN, p_min(BIN), lo, hi_open=True), ID))
+        if hi != p_max(BIN):
+            pieces.append((interval(BIN, hi, p_max(BIN), lo_open=True), ID))
+        f = normalize_bf(BIN, PiecewiseBF(tuple(pieces), Mode.IDEAL))
+        assert format_bf(BIN, f) == want
+        assert not left_limit_pieces(f)
 
 
 class TestBFForm:
@@ -223,6 +254,17 @@ class TestJoinBF:
         assert got.kind == "reducible"
         w1, w2 = got.witnesses
         assert bf_eq(BIN, bf_join(BIN, w1, w2), f)
+
+    def test_dense_image_split_is_harvested_from_the_image(self):
+        # the id- piece [2|1, 22|1] has image [1|2, 21|2]; the split value
+        # comes from inside the image, not from inside the piece
+        f = parse_bf(BIN, "[|1, 1|2] -> const(|1); [2|1, 22|1] -> id-; (22|1, |2] -> id")
+        got = classify_join_bf(BIN, f)
+        assert got.kind == "reducible"
+        assert [format_bf(BIN, w) for w in got.witnesses] == [
+            "[|1, 1|2] -> const(|1); [2|1, 2111|2] -> id-; [2112|1, |2] -> const(2111|2)",
+            "[|1, 2112|1] -> const(|1); (2112|1, 22|1] -> id-; (22|1, |2] -> id",
+        ]
 
     def test_plateau_form_splits(self):
         f = construct_family(BIN, "phi_ab", a=pt("|21"), b=pt("2|21"))
@@ -354,8 +396,28 @@ class TestGraphCorrespondence:
 
     def test_boundary_of_strip_plus_is_the_stepped_form(self):
         psi = boundary_of(BIN, StripPlus(pt("2|1"), pt("22|1")))
-        want = construct_family(BIN, "psi_paab", a=pt("2|1"), b=pt("22|1"))
-        assert bf_eq(BIN, psi, want)
+        want = parse_bf(BIN, "[|1, 1|2] -> id; [2|1, 21|2] -> const(1|2); "
+                             "[22|1, 22|1] -> const(2|1); (22|1, |2] -> id")
+        assert psi == want
+
+    @pytest.mark.parametrize("kind,params,text", [
+        ("phi_ab", {"a": "|21", "b": "2|21"},
+         "[|1, |21) -> id; [|21, 2|21] -> const(|21); (2|21, |2] -> id"),
+        ("phi_ab", {"a": "|1", "b": "2|21"},
+         "[|1, 2|21] -> const(|1); (2|21, |2] -> id"),
+        ("psi_paab", {"a": "2|1", "b": "22|1"},
+         "[|1, 1|2] -> id; [2|1, 21|2] -> const(1|2); "
+         "[22|1, 22|1] -> const(2|1); (22|1, |2] -> id"),
+        ("psi_paab", {"a": "12|1", "b": "2|1"},
+         "[|1, 11|2] -> id; [12|1, 1|2] -> const(11|2); "
+         "[2|1, 2|1] -> const(12|1); (2|1, |2] -> id"),
+        ("phi_at", {"a": "|21", "t": "21|2"},
+         "[|1, 21|2] -> const(|1); [22|1, |2] -> const(|21)"),
+        ("phi_at", {"a": "|1", "t": "21|2"}, "[|1, |2] -> const(|1)"),
+    ])
+    def test_named_families_spelled_out(self, kind, params, text):
+        got = construct_family(BIN, kind, **{k: pt(v) for k, v in params.items()})
+        assert got == parse_bf(BIN, text)
 
 
 class TestConstructFamily:

@@ -43,7 +43,6 @@ from refbound.order import (
     point,
     pred,
     prepend,
-    prefix_digits,
     replace_prefix,
     suc,
     tail_of,
@@ -147,6 +146,15 @@ class TestOrder:
         assert order_compare(a, b) == 1
         assert first_difference(a, b) == 4
 
+    def test_periodic_span_is_tight(self):
+        # periods 2 and 3 agree on 2 + 3 - gcd(2, 3) - 1 = 3 places, so the
+        # first difference sits on the last place of the compared span
+        a, b = pt(BIN, "|12"), pt(BIN, "|121")
+        assert first_difference(a, b) == 4
+        assert order_compare(a, b) == 1
+        assert compare_beyond(a, b, 0) == 1
+        assert not orbit_test(a, b)
+
     def test_extremes(self):
         xs = [pt(BIN, "|1"), pt(BIN, "1|2"), pt(BIN, "2|1"), pt(BIN, "|12"), pt(BIN, "|2")]
         lo, hi = p_min(BIN), p_max(BIN)
@@ -241,7 +249,7 @@ class TestCylinders:
         x = pt(K23, "212|31")
         y = replace_prefix(K23, x, (1, 1, 1))
         assert orbit_test(x, y)
-        assert prefix_digits(y, 3) == (1, 1, 1)
+        assert y.word(3) == (1, 1, 1)
 
 
 class TestIntervals:
@@ -511,7 +519,7 @@ class TestAgainstDigitReference:
             assert outcome(suc, sys, x) == outcome(ref_suc, sys, x)
             assert outcome(pred, sys, x) == outcome(ref_pred, sys, x)
             for m in range(len(x.preamble) + len(x.period) + 3):
-                word = prefix_digits(x, m)
+                word = x.word(m)
                 assert word == tuple(x.digit(n) for n in range(1, m + 1))
                 t = tail_of(sys, x, m)
                 assert t == ref_tail_of(sys, x, m)
