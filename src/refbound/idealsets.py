@@ -340,7 +340,14 @@ def _member(sys, expr, x, y, mode, cap) -> Verdict:
 
 
 def boundary_of(sys: RefinementSystem, expr) -> PiecewiseBF:
-    """Boundary function of the closed hull of the expression."""
+    """Boundary function of the closed hull of the expression.
+
+    A union is the join, and an intersection the meet, of its parts'
+    boundaries, folded from the first part: n >= 2 parts take n - 1
+    lattice operations.  None or one part start from the boundary of
+    Empty (a union) or Full (an intersection), so one part comes back
+    normalized and in the expression's mode.
+    """
     return _boundary(sys, _unwrap(expr), expr_mode(expr))
 
 
@@ -373,15 +380,16 @@ def _boundary(sys, expr, mode) -> PiecewiseBF:
         return bf_minus(sys, expr.bf)
     if isinstance(expr, OfBFClosed):
         return expr.bf
-    if isinstance(expr, Union):
-        acc = const_bf(sys, lo, mode)
-        for part in expr.parts:
-            acc = bf_join(sys, acc, _boundary(sys, part, mode))
-        return acc
-    if isinstance(expr, Intersection):
-        acc = _boundary(sys, Full(), mode)
-        for part in expr.parts:
-            acc = bf_meet(sys, acc, _boundary(sys, part, mode))
+    if isinstance(expr, (Union, Intersection)):
+        op, start = (bf_join, Empty()) if isinstance(expr, Union) else (bf_meet, Full())
+        parts = list(expr.parts)
+        if len(parts) < 2:
+            # every boundary lies between bottom and top (Property1), so
+            # only a fold of fewer than two parts starts from one of them
+            parts.insert(0, start)
+        acc = _boundary(sys, parts[0], mode)
+        for part in parts[1:]:
+            acc = op(sys, acc, _boundary(sys, part, mode))
         return acc
     raise TypeError(f"not an ideal-set expression: {expr!r}")
 

@@ -42,7 +42,6 @@ from .idealsets import (
     _sample_pairs,
 )
 from .order import (
-    EmptyIntervalError,
     OrderInterval,
     Point,
     RefinementError,
@@ -83,30 +82,23 @@ def _values(sys: RefinementSystem, bf: PiecewiseBF,
 
     In the normal form a piece with one or two points carries an id or
     const leaf, so an id- piece is infinite, and so are its image and
-    the values it drops to.
+    the values it drops to.  A const piece always drops to its value:
+    Property1 puts the value at or below every point of the piece, and
+    the normal form spells a one-point piece [c, c] -> const(c) as id,
+    so the piece holds a point above the value.
     """
     out = []
     for ival, leaf in bf.pieces:
         if isinstance(leaf, IdentityMinus):
             return None
         if isinstance(leaf, Const):
-            if not dropped or _drops_below(sys, ival, leaf.value):
-                out.append(leaf.value)
+            out.append(leaf.value)
         elif not dropped:
             small = interval_small_points(sys, ival)
             if small is None:
                 return None
             out.extend(small)
     return sorted(set(out), key=_KEY)
-
-
-def _drops_below(sys, ival: OrderInterval, value: Point) -> bool:
-    # does the piece hold a point above its constant value?
-    try:
-        above = interval(sys, value, ival.hi, True, ival.hi_open)
-    except EmptyIntervalError:
-        return False
-    return interval_intersect(sys, above, ival) is not None
 
 
 def _infinite_image(sys, bf: PiecewiseBF) -> OrderInterval:

@@ -141,6 +141,11 @@ class RefinementSystem:
         # digits of the maximum point are the multiplicities themselves
         return point(self, self.prefix, self.cycle)
 
+    @cached_property
+    def _rotations(self) -> tuple[tuple[int, ...], ...]:
+        # _rotations[r] is the cycle started r places in
+        return tuple(self.cycle[r:] + self.cycle[:r] for r in range(self.cycle_len))
+
 
 @dataclass(frozen=True)
 class Point:
@@ -265,19 +270,23 @@ def order_compare(x: Point, y: Point) -> int:
     Interned points are often the same object.  Otherwise the heads cut
     to the shorter length hold both points' first digits exactly, so
     they decide whenever they differ; equal cut heads with equal
-    preamble and period lengths are equal points.  Only what is left
-    unrolls the joint words.
+    preamble and period lengths are equal points.  When only the lengths
+    differ, the longer head against the other point's word of its length
+    decides next, unrolling one word.  Only what is left unrolls the
+    joint words.
     """
     if x is y:
         return 0
     a, b = x.head, y.head
     if len(a) > len(b):
-        a = a[:len(b)]
+        if a[:len(b)] == b:
+            b = y.word(len(a))
     elif len(b) > len(a):
-        b = b[:len(a)]
+        if b[:len(a)] == a:
+            a = x.word(len(b))
+    elif a == b and len(x.preamble) == len(y.preamble):
+        return 0
     if a == b:
-        if len(x.preamble) == len(y.preamble) and len(x.period) == len(y.period):
-            return 0
         _, a, b = _joint_words(x, y)
         if a == b:
             return 0
@@ -346,18 +355,25 @@ def has_gap_above(sys: RefinementSystem, x: Point) -> bool:
     """True iff x has an immediate successor.
 
     Happens exactly when the digits are eventually maximal (d_n = k_n
-    from some point on) and x is not the maximum point.
+    from some point on) and x is not the maximum point.  The period
+    holds every digit of the tail, and period digit i sits where the
+    multiplicities read the cycle rotated by len(preamble) - prefix_len,
+    so the test is one compare of the period with that rotation,
+    repeated to its length.
     """
-    w = _window(sys, x)
-    n = w + len(x.period)
-    if x.word(n)[w:] != sys.k_word(n)[w:]:
+    big_l = sys.cycle_len
+    rot = sys._rotations[(len(x.preamble) - sys.prefix_len) % big_l]
+    if x.period != rot * (len(x.period) // big_l):
         return False
     return x != p_max(sys)
 
 
 def has_gap_below(sys: RefinementSystem, x: Point) -> bool:
-    """True iff x has an immediate predecessor (digits eventually 1, x not minimal)."""
-    if x.period != (1,) * len(x.period):
+    """True iff x has an immediate predecessor (digits eventually 1, x not minimal).
+
+    Every period digit is 1 exactly when the digits are eventually 1.
+    """
+    if x.period.count(1) != len(x.period):
         return False
     return x != p_min(sys)
 

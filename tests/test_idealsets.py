@@ -1,5 +1,8 @@
 """Ideal-set expressions: membership, boundaries, restriction, sandwich."""
 
+import random
+from functools import reduce
+
 import pytest
 
 from refbound.boundary import (
@@ -8,12 +11,17 @@ from refbound.boundary import (
     Mode,
     PiecewiseBF,
     bf_eq,
+    bf_join,
+    bf_meet,
     bf_minus,
+    const_bf,
     eval_bf,
+    format_bf,
     identity_bf,
     normalize_bf,
 )
 from refbound.order import (
+    OrderInterval,
     Point,
     RefinementError,
     format_point,
@@ -61,6 +69,7 @@ from refbound.idealsets import (
     validate_ideal_expr,
     violation_tailset,
 )
+from refbound.oracle import random_ideal_expr, random_module_expr
 
 BIN = parse_system(";2")
 
@@ -279,6 +288,83 @@ class TestBoundaries:
         got = shapes(boundary_of(BIN, module(Strip(self.a, self.b))))
         assert got == [("|1", "2|21", Const(self.a)),
                        ("2|21", "|2", Const(pt("|2")))]
+
+
+class TestSetBoundaryFolds:
+    """boundary_of of unions and intersections, pinned part count by part count."""
+
+    PARTS = {
+        "strip": (Strip(pt("|12"), pt("22|12")),
+                  "[|1, |12) -> id; [|12, 2|21] -> const(|12); (2|21, |2] -> id",
+                  "module [|1, 2|21] -> const(|12); (2|21, |2] -> const(|2)"),
+        "strip-plus": (StripPlus(pt("2|1"), pt("22|1")),
+                       "[|1, 1|2] -> id; [2|1, 21|2] -> const(1|2); "
+                       "[22|1, 22|1] -> const(2|1); (22|1, |2] -> id",
+                       "module [|1, 21|2] -> const(1|2); [22|1, 22|1] -> const(2|1); "
+                       "(22|1, |2] -> const(|2)"),
+        "corner": (Corner(pt("|12"), pt("2|21")),
+                   "[|1, 2|21] -> const(|1); (2|21, |2] -> const(|12)",
+                   "module [|1, 2|21] -> const(|1); (2|21, |2] -> const(|12)"),
+    }
+
+    @pytest.mark.parametrize("expr,want", [
+        (union(), "[|1, |2] -> const(|1)"),
+        (intersection(), "[|1, |2] -> id"),
+        (module(union()), "module [|1, |2] -> const(|1)"),
+        (module(intersection()), "module [|1, |2] -> const(|2)"),
+    ], ids=["union", "intersection", "module-union", "module-intersection"])
+    def test_no_parts(self, expr, want):
+        assert format_bf(BIN, boundary_of(BIN, expr)) == want
+
+    @pytest.mark.parametrize("name", sorted(PARTS))
+    @pytest.mark.parametrize("op", [union, intersection], ids=["union", "intersection"])
+    def test_one_part(self, name, op):
+        part, ideal_text, module_text = self.PARTS[name]
+        for wrap, want in ((lambda e: e, ideal_text), (module, module_text)):
+            got = boundary_of(BIN, wrap(op(part)))
+            assert format_bf(BIN, got) == want
+            assert got == boundary_of(BIN, wrap(part))
+
+    def test_one_part_normalizes_a_hand_spelled_function(self):
+        # the identity spelled as two pieces: split across the gap pair
+        # (1|2, 2|1), and split at 2|1 with an open end over that gap
+        split = PiecewiseBF(((interval(BIN, p_min(BIN), pt("1|2")), ID),
+                             (interval(BIN, pt("2|1"), p_max(BIN)), ID)))
+        open_end = PiecewiseBF(((OrderInterval(p_min(BIN), pt("2|1"), hi_open=True), ID),
+                                (OrderInterval(pt("2|1"), p_max(BIN)), ID)))
+        for hand in (split, open_end):
+            assert boundary_of(BIN, OfBFClosed(hand)) is hand
+            assert hand != identity_bf(BIN)
+            for op in (union, intersection):
+                assert boundary_of(BIN, op(OfBFClosed(hand))) == identity_bf(BIN)
+            assert boundary_of(BIN, union(OfBFClosed(hand), Empty())) == identity_bf(BIN)
+
+    def test_one_part_of_the_other_mode_is_refused(self):
+        phi = boundary_of(BIN, module(Full()))
+        for op in (union, intersection):
+            with pytest.raises(ValueError, match="across modes"):
+                boundary_of(BIN, op(OfBFClosed(phi)))
+
+    @pytest.mark.parametrize("sys_text", [";2", ";2,3", "3;2", "2;2,2,3"])
+    def test_folds_match_the_fold_from_bottom_and_top(self, sys_text):
+        sys = parse_system(sys_text)
+        rng = random.Random(f"set-folds|{sys_text}")
+        lo, hi = p_min(sys), p_max(sys)
+        for i in range(24):
+            mode = Mode.MODULE if i % 3 == 2 else Mode.IDEAL
+            count = i % 4
+            if mode is Mode.IDEAL:
+                parts = [random_ideal_expr(sys, rng, depth=1) for _ in range(count)]
+                top = identity_bf(sys)
+            else:
+                parts = [random_module_expr(sys, rng).inner for _ in range(count)]
+                top = const_bf(sys, hi, mode)
+            wrap = module if mode is Mode.MODULE else (lambda e: e)
+            bfs = [boundary_of(sys, wrap(p)) for p in parts]
+            joined = reduce(lambda f, g: bf_join(sys, f, g), bfs, const_bf(sys, lo, mode))
+            met = reduce(lambda f, g: bf_meet(sys, f, g), bfs, top)
+            assert boundary_of(sys, wrap(union(*parts))) == joined
+            assert boundary_of(sys, wrap(intersection(*parts))) == met
 
 
 class TestTailSets:

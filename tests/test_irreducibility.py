@@ -15,6 +15,7 @@ from refbound.boundary import (
     bf_join,
     bf_meet,
     bf_minus,
+    bf_plus,
     const_bf,
     eval_bf,
     format_bf,
@@ -46,11 +47,13 @@ from refbound.irreducibility import (
 )
 from refbound.oracle import random_bf
 from refbound.order import (
+    EmptyIntervalError,
     RefinementError,
     full_interval,
     has_gap_above,
     has_gap_below,
     interval,
+    interval_intersect,
     interval_small_points,
     lt,
     p_max,
@@ -146,6 +149,46 @@ class TestLeftLimitPiecesAreInfinite:
         f = normalize_bf(BIN, PiecewiseBF(tuple(pieces), Mode.IDEAL))
         assert format_bf(BIN, f) == want
         assert not left_limit_pieces(f)
+
+
+class TestConstPiecesDrop:
+    """_values lists every const value among the dropped-to values: in an
+    ideal-mode normal form each const piece holds a point above its value."""
+
+    @staticmethod
+    def holds_a_point_above(sys, ival, c):
+        try:
+            above = interval(sys, c, ival.hi, True, ival.hi_open)
+        except EmptyIntervalError:
+            return False
+        return interval_intersect(sys, above, ival) is not None
+
+    @pytest.mark.parametrize("text", TEN_SYSTEMS)
+    def test_random_functions(self, text):
+        sys = parse_system(text)
+        rng = random.Random(f"const-drops|{text}")
+        seen = 0
+        for _ in range(60):
+            f = random_bf(sys, rng)
+            for g in (f, bf_minus(sys, f), bf_plus(sys, f)):
+                for ival, leaf in g.pieces:
+                    if isinstance(leaf, Const):
+                        seen += 1
+                        assert self.holds_a_point_above(sys, ival, leaf.value), \
+                            format_bf(sys, g)
+        assert seen > 0
+
+    @pytest.mark.parametrize("c", ["|1", "1|2", "2|1", "|12", "|2"])
+    def test_one_point_piece_at_its_value_is_id(self, c):
+        c = pt(c)
+        pieces = [(interval(BIN, c, c), Const(c))]
+        if c != p_min(BIN):
+            pieces.insert(0, (interval(BIN, p_min(BIN), c, hi_open=True), ID))
+        if c != p_max(BIN):
+            pieces.append((interval(BIN, c, p_max(BIN), lo_open=True), ID))
+        f = normalize_bf(BIN, PiecewiseBF(tuple(pieces), Mode.IDEAL))
+        assert f == identity_bf(BIN)
+        assert values(f, dropped=True) == []
 
 
 class TestBFForm:

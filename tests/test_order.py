@@ -6,6 +6,7 @@ import pytest
 
 from refbound.order import (
     _canonical_point,
+    _joint_words,
     DigitRangeError,
     EmptyIntervalError,
     MisalignedPeriodError,
@@ -686,3 +687,148 @@ class TestInternedPoints:
         again = [min_tail_point(BIN, w) for w in words[:50]]
         assert again == first[:50]
         assert [order_compare(a, b) for a, b in zip(again, again[1:])] == [-1] * 49
+
+
+# ---------------------------------------------------------------------------
+# the gap kernel and the head compare
+
+
+def unrolled_gap_above(sys, x):
+    """The gap test read off unrolled words: digits equal the multiplicities past the window."""
+    w = max(len(x.preamble), sys.prefix_len)
+    n = w + len(x.period)
+    if x.word(n)[w:] != sys.k_word(n)[w:]:
+        return False
+    return x != p_max(sys)
+
+
+def unrolled_gap_below(sys, x):
+    if x.period != (1,) * len(x.period):
+        return False
+    return x != p_min(sys)
+
+
+def assert_gaps_match_unrolled(sys, x):
+    assert has_gap_above(sys, x) == unrolled_gap_above(sys, x), (format_system(sys), x)
+    assert has_gap_below(sys, x) == unrolled_gap_below(sys, x), (format_system(sys), x)
+
+
+class TestGapFacts:
+    @pytest.mark.parametrize("sys", CHANGES_SYSTEMS, ids=format_system)
+    def test_rotation_test_matches_unrolled_words(self, sys):
+        rng = random.Random("gap-facts|" + format_system(sys))
+        L = sys.cycle_len
+        points = [p_min(sys), p_max(sys)]
+        while len(points) < 60:
+            word = raw_digits(rng, sys, 1, rng.choice((0, 1, 2, 3, 5)), bad=False)
+            r = rng.random()
+            if r < 0.3:
+                points.append(max_tail_point(sys, word))
+            elif r < 0.5:
+                points.append(min_tail_point(sys, word))
+            else:
+                per = raw_digits(rng, sys, len(word) + 1, L * rng.choice((1, 2)), bad=False)
+                x = outcome(point, sys, word, per)
+                if isinstance(x, Point):
+                    points.append(x)
+        # directly built spellings: the period twice over, a digit moved
+        # into the preamble, and the maximal tail written out by hand
+        built = [Point(x.preamble, x.period * 2) for x in points]
+        built += [respelled(x) for x in points]
+        for pre_len in range(sys.prefix_len + 3):
+            word = sys.k_word(pre_len + 2 * L)
+            built.append(Point(word[:pre_len], word[pre_len:]))
+        above = below = 0
+        for x in points + built:
+            assert_gaps_match_unrolled(sys, x)
+            above += has_gap_above(sys, x)
+            below += has_gap_below(sys, x)
+        assert above > 0 and below > 0
+
+    @pytest.mark.parametrize("sys_text,text,above,below", [
+        # preambles shorter than the system prefix
+        ("3;2", "|2", True, False),
+        ("12;2,13", "|1.2", False, False),
+        ("12;2,13", "|2.2", False, False),
+        ("12;2,13", "5|2.13", True, False),
+        ("12;2,13", "|12.2.13.2", False, False),
+        # the extremes themselves
+        ("3;2", "3|2", False, False),
+        ("3;2", "|1", False, False),
+        ("12;2,13", "12|2.13", False, False),
+        ("12;2,13", "|1.1", False, False),
+        # wide digits
+        (";11", "3|11", True, False),
+        (";11", "4|1", False, True),
+        (";11", "|11", False, False),
+        (";11", "|1", False, False),
+        (";11", "|10.11", False, False),
+        ("5,13;3,4,7", "5.12|3.4.7", True, False),
+        ("5,13;3,4,7", "5.13.2|1.1.1", False, True),
+    ])
+    def test_named_points(self, sys_text, text, above, below):
+        sys = parse_system(sys_text)
+        x = pt(sys, text)
+        assert (has_gap_above(sys, x), has_gap_below(sys, x)) == (above, below)
+        assert_gaps_match_unrolled(sys, x)
+        if above:
+            assert pred(sys, suc(sys, x)) == x
+
+    def test_directly_built_double_periods(self):
+        # spellings that point() would shorten still read their period
+        for sys, pre, per in ((BIN, (1,), (2, 2)), (K23, (1,), (3, 2, 3, 2)),
+                              (PRE, (), (2, 2)), (K23, (2,), (1, 1, 1, 1))):
+            assert_gaps_match_unrolled(sys, Point(pre, per))
+        assert has_gap_above(BIN, Point((1,), (2, 2)))
+        assert has_gap_above(PRE, Point((), (2, 2)))
+        assert has_gap_below(K23, Point((2,), (1, 1, 1, 1)))
+        assert not has_gap_above(K23, Point((1,), (2, 3, 2, 3)))
+
+
+def count_joint_words(monkeypatch):
+    """Record the calls order_compare makes to _joint_words."""
+    calls = []
+    real = _joint_words
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr("refbound.order._joint_words", counted)
+    return calls
+
+
+class TestHeadCompare:
+    @pytest.mark.parametrize("sys,a,b", [
+        (BIN, "|1", "1|2"), (BIN, "|2", "2|1"), (BIN, "|12", "1211|2"),
+        (BIN, "|21", "211|2"), (BIN, "|12", "122|1"), (K23, "|12", "12|13"),
+        (K23, "|13", "13|12"),
+    ])
+    def test_longer_head_decides(self, monkeypatch, sys, a, b):
+        x, y = pt(sys, a), pt(sys, b)
+        calls = count_joint_words(monkeypatch)
+        assert y.head[:len(x.head)] == x.head and len(y.head) > len(x.head)
+        assert order_compare(x, y) == ref_compare(x, y) != 0
+        assert order_compare(y, x) == ref_compare(y, x)
+        assert calls == []
+
+    @pytest.mark.parametrize("sys,a,b", [
+        (BIN, "|12", "12|1"),   # the longer head agrees with x's word
+        (BIN, "|12", "121|2"),
+        (K23, "|1312", "1312|13"),
+        (BIN, "1|2", "|12"),    # equal head lengths, preambles differ
+        (BIN, "2|1", "|21"),
+    ])
+    def test_joint_words_when_heads_agree(self, monkeypatch, sys, a, b):
+        x, y = pt(sys, a), pt(sys, b)
+        calls = count_joint_words(monkeypatch)
+        assert x.head[:len(y.head)] == y.head[:len(x.head)]
+        assert order_compare(x, y) == ref_compare(x, y) != 0
+        assert order_compare(y, x) == ref_compare(y, x)
+        assert len(calls) == 2
+
+    def test_equal_points_decide_on_heads(self, monkeypatch):
+        x = pt(K23, "21|1312")
+        calls = count_joint_words(monkeypatch)
+        assert order_compare(x, Point(x.preamble, x.period)) == 0
+        assert calls == []
