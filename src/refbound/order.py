@@ -359,23 +359,27 @@ def has_gap_above(sys: RefinementSystem, x: Point) -> bool:
     holds every digit of the tail, and period digit i sits where the
     multiplicities read the cycle rotated by len(preamble) - prefix_len,
     so the test is one compare of the period with that rotation,
-    repeated to its length.
+    repeated to its length; x is then p_max, however spelled, exactly
+    when its digits up to the window are the multiplicities.
     """
-    big_l = sys.cycle_len
-    rot = sys._rotations[(len(x.preamble) - sys.prefix_len) % big_l]
-    if x.period != rot * (len(x.period) // big_l):
+    big_l, pre = sys.cycle_len, x.preamble
+    over = len(pre) - sys.prefix_len
+    if x.period != sys._rotations[over % big_l] * (len(x.period) // big_l):
         return False
-    return x != p_max(sys)
+    if over >= 0:
+        return pre != sys.k_word(len(pre))
+    return x.word(sys.prefix_len) != sys.prefix
 
 
 def has_gap_below(sys: RefinementSystem, x: Point) -> bool:
     """True iff x has an immediate predecessor (digits eventually 1, x not minimal).
 
-    Every period digit is 1 exactly when the digits are eventually 1.
+    Every period digit is 1 exactly when the digits are eventually 1; then
+    x is p_min, however spelled, exactly when its preamble is all 1s too.
     """
     if x.period.count(1) != len(x.period):
         return False
-    return x != p_min(sys)
+    return x.preamble.count(1) != len(x.preamble)
 
 
 def suc(sys: RefinementSystem, x: Point) -> Point:

@@ -1,11 +1,15 @@
+import itertools
 import random
+import subprocess
+import sys as _sys
 from collections import Counter
 from functools import cmp_to_key
 from math import lcm
+from pathlib import Path
 
 import pytest
 
-from refbound import boundary, order
+from refbound import boundary, idealsets, order
 from refbound.boundary import (
     ID,
     ID_MINUS,
@@ -45,7 +49,17 @@ from refbound.boundary import (
     validate_bf,
 )
 from refbound.cocycle import gap_point
-from refbound.idealsets import boundary_of
+from refbound.idealsets import (
+    Corner,
+    Intersection,
+    OfBFClosed,
+    OfBFOpen,
+    Strip,
+    Union,
+    boundary_of,
+    intersection,
+    union,
+)
 from refbound.irreducibility import construct_family
 from refbound.oracle import (
     _random_linked_pair,
@@ -68,6 +82,8 @@ from refbound.order import (
     interval_intersect,
     interval_small_points,
     interval_sup,
+    level_words,
+    max_tail_point,
     merge_level,
     orbit_test,
     order_compare,
@@ -780,3 +796,151 @@ class TestCanonicalForm:
                 assert _values_equal(sys, f, n)
                 for _ in range(3):
                     assert normalize_bf(sys, _respell(sys, f, rng)).pieces == n.pieces
+
+
+# ---------------------------------------------------------------------------
+# the write-path memo
+
+
+MEMO_TABLES = (boundary._checked_bf, bf_minus, bf_plus, boundary._lattice,
+               idealsets._boundary)
+MEMO_SYSTEMS = [parse_system(t) for t in (
+    ";2", ";2,3", "3;2", ";3", ";11", "2;2,2,3", "12;2,13", ";2,3,5", ";7,11", "5,13;3,4,7")]
+
+
+def clear_memo():
+    for table in MEMO_TABLES + (order._canonical_point,):
+        table.cache_clear()
+
+
+def _write_path_run(sys):
+    """Functions drawn through every memoized operation, from a fixed seed."""
+    rng = random.Random("memo|" + format_system(sys))
+    fs = [random_bf(sys, rng) for _ in range(6)]
+    out = []
+    for f, g in zip(fs, fs[1:] + fs[:1]):
+        out += [bf_minus(sys, f), bf_plus(sys, f), bf_join(sys, f, g), bf_meet(sys, f, g),
+                parse_bf(sys, format_bf(sys, f)),
+                boundary_of(sys, union(OfBFOpen(f), OfBFClosed(g)))]
+    out.append(boundary_of(sys, random_ideal_expr(sys, rng, 2)))
+    return fs, out
+
+
+class TestMemo:
+    @pytest.mark.parametrize("sys", MEMO_SYSTEMS, ids=format_system)
+    def test_cold_and_warm_tables_give_equal_results(self, sys):
+        clear_memo()
+        cold_fs, cold = _write_path_run(sys)
+        warm_fs, warm = _write_path_run(sys)
+        assert warm_fs == cold_fs and warm == cold
+        assert [format_bf(sys, f) for f in warm] == [format_bf(sys, f) for f in cold]
+        # the memoized operations only read their tables the second time
+        assert all(w is c for w, c in zip(warm, cold))
+        for f in cold:
+            assert validate_bf(sys, f) == [] and normalize_bf(sys, f) == f
+        # and a stored answer is the one the unmemoized body gives
+        for f, g in zip(cold_fs, cold_fs[1:]):
+            assert bf_minus.__wrapped__(sys, f) == bf_minus(sys, f)
+            assert bf_plus.__wrapped__(sys, f) == bf_plus(sys, f)
+            for join in (True, False):
+                assert boundary._lattice.__wrapped__(sys, f, g, join) \
+                    == boundary._lattice(sys, f, g, join)
+            assert boundary._checked_bf.__wrapped__(sys, f.pieces, f.mode) \
+                == make_bf(sys, f.pieces, f.mode)
+            expr = Intersection((OfBFOpen(f), OfBFClosed(g)))
+            assert idealsets._boundary.__wrapped__(sys, expr, Mode.IDEAL) \
+                == boundary_of(sys, expr)
+
+    def test_a_repeat_returns_the_same_object(self):
+        a, b = pt("1|2"), pt("21|1")
+        pieces = strip_bf(a, b).pieces
+        f = make_bf(BIN, pieces)
+        assert make_bf(BIN, list(pieces)) is f and make_bf(BIN, tuple(pieces)) is f
+        assert bf_minus(BIN, f) is bf_minus(BIN, f) and bf_plus(BIN, f) is bf_plus(BIN, f)
+        g = identity_bf(BIN)
+        assert bf_join(BIN, f, g) is bf_join(BIN, f, g)
+        assert bf_meet(BIN, f, g) is bf_meet(BIN, f, g)
+        assert boundary_of(BIN, Strip(a, b)) is boundary_of(BIN, Strip(a, b))
+        assert boundary_of(BIN, union(Strip(a, b), Corner(b, a))) \
+            is boundary_of(BIN, union(Strip(a, b), Corner(b, a)))
+
+    def test_invalid_input_raises_the_same_every_time(self):
+        bad = [(interval(BIN, LO, HI), Const(pt("2|1")))]  # a value above its piece
+        seen = set()
+        for _ in range(2):
+            with pytest.raises(InvalidBoundaryFunctionError) as err:
+                make_bf(BIN, bad)
+            seen.add((type(err.value), str(err.value)))
+        assert len(seen) == 1 and "Property1" in seen.pop()[1]
+        assert make_bf(BIN, [(interval(BIN, LO, HI), Const(LO))]) == const_bf(BIN, LO)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="across modes"):
+                bf_join(BIN, identity_bf(BIN), identity_bf(BIN, Mode.MODULE))
+
+    def test_tables_stay_within_their_bound(self):
+        bound = max(t.cache_info().maxsize for t in MEMO_TABLES)
+        assert all(t.cache_info().maxsize == bound for t in MEMO_TABLES)
+        words = list(itertools.islice(level_words(BIN, 13), bound + 300))
+        # module-mode constants with no gap below: valid for every value
+        fs = [const_bf(BIN, max_tail_point(BIN, w), Mode.MODULE) for w in words]
+        for f, g in zip(fs, fs[1:]):
+            bf_minus(BIN, f)
+            bf_plus(BIN, f)
+            bf_join(BIN, f, g)
+            boundary_of(BIN, OfBFClosed(f))
+        for table in MEMO_TABLES:
+            assert table.cache_info().currsize <= bound, table
+        # evicted entries come back equal
+        again = [const_bf(BIN, max_tail_point(BIN, w), Mode.MODULE) for w in words[:20]]
+        assert again == fs[:20]
+        assert [bf_join(BIN, f, g) for f, g in zip(again, again[1:])] == fs[1:20]
+
+
+class TestHashableSpellings:
+    def test_list_pieces_match_tuple_pieces(self):
+        a, b = pt("1|2"), pt("21|1")
+        f = strip_bf(a, b)
+        listed = [[ival, leaf] for ival, leaf in f.pieces]
+        assert PiecewiseBF(listed) == f and hash(PiecewiseBF(listed)) == hash(f)
+        assert make_bf(BIN, listed) == f
+        g = PiecewiseBF(listed)
+        assert bf_minus(BIN, g) == bf_minus(BIN, f)
+        assert bf_plus(BIN, g) == bf_plus(BIN, f)
+        h = const_bf(BIN, LO)
+        assert bf_join(BIN, g, PiecewiseBF(list(h.pieces))) == bf_join(BIN, f, h)
+        assert bf_meet(BIN, g, PiecewiseBF(list(h.pieces))) == bf_meet(BIN, f, h)
+        assert boundary_of(BIN, OfBFOpen(g)) == bf_minus(BIN, f)
+        assert boundary_of(BIN, OfBFClosed(g)) == f
+
+    def test_list_parts_match_tuple_parts(self):
+        a, b = pt("1|2"), pt("21|1")
+        parts = [Strip(a, b), Corner(b, a), OfBFOpen(identity_bf(BIN))]
+        for cls, spelled in ((Union, union(*parts)), (Intersection, intersection(*parts))):
+            listed = cls(list(parts))
+            assert listed == spelled and hash(listed) == hash(spelled)
+            assert boundary_of(BIN, listed) == boundary_of(BIN, spelled)
+            assert boundary_of(BIN, cls([listed, Strip(b, b)])) \
+                == boundary_of(BIN, cls((spelled, Strip(b, b))))
+
+
+def test_reimport_frees_the_old_library():
+    # the memo tables hold functions of the library's own classes; dropping
+    # the package and importing it again must let the old one be collected
+    src = str(Path(boundary.__file__).resolve().parent.parent)
+    code = f"""
+import gc, importlib, sys, weakref
+sys.path.insert(0, {src!r})
+import refbound
+from refbound import boundary, idealsets, order
+sys_ = order.parse_system(';2,3')
+boundary.bf_plus(sys_, idealsets.boundary_of(sys_, idealsets.Strip(order.p_min(sys_), order.p_max(sys_))))
+old = weakref.ref(order.Point)
+for name in [n for n in sys.modules if n == 'refbound' or n.startswith('refbound.')]:
+    del sys.modules[name]
+del refbound, boundary, idealsets, order, sys_
+importlib.import_module('refbound')
+gc.collect()
+assert old() is None, 'the old refbound is still alive'
+"""
+    done = subprocess.run([_sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

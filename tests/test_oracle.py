@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from refbound import boundary, idealsets
 from refbound.boundary import Mode, bf_eq, identity_bf, parse_bf, validate_bf
 from refbound.idealsets import (
     FiniteLevel,
@@ -253,13 +254,17 @@ class TestRunSuite:
         assert a.to_json() == b.to_json()
 
     def test_reports_do_not_depend_on_earlier_runs(self):
-        # points are interned process-wide: a cold table and one warmed by
-        # other suites give the same bytes, witnesses of failed checks included
+        # points are interned and write-path answers memoized process-wide:
+        # cold tables and ones warmed by other suites give the same bytes,
+        # witnesses of failed checks included
         runs = [("prop9", BIN, 1, 3), ("def-biconditions", ALT, 0, 1),
                 ("oracle-equivalence", parse_system("3;2"), 0, 1)]
+        tables = (_canonical_point, boundary._checked_bf, boundary.bf_minus,
+                  boundary.bf_plus, boundary._lattice, idealsets._boundary)
         cold = []
         for args in runs:
-            _canonical_point.cache_clear()
+            for table in tables:
+                table.cache_clear()
             cold.append(run_suite(*args).to_json())
         warm = [run_suite(*args).to_json() for _ in range(2) for args in runs]
         assert warm == cold * 2

@@ -699,13 +699,14 @@ def unrolled_gap_above(sys, x):
     n = w + len(x.period)
     if x.word(n)[w:] != sys.k_word(n)[w:]:
         return False
-    return x != p_max(sys)
+    # the digit strings, not the spellings: Point((), (2, 2)) is p_max on ;2
+    return ref_compare(x, p_max(sys)) != 0
 
 
 def unrolled_gap_below(sys, x):
     if x.period != (1,) * len(x.period):
         return False
-    return x != p_min(sys)
+    return ref_compare(x, p_min(sys)) != 0
 
 
 def assert_gaps_match_unrolled(sys, x):
@@ -783,6 +784,28 @@ class TestGapFacts:
         assert has_gap_above(PRE, Point((), (2, 2)))
         assert has_gap_below(K23, Point((2,), (1, 1, 1, 1)))
         assert not has_gap_above(K23, Point((1,), (2, 3, 2, 3)))
+
+    @pytest.mark.parametrize("sys,pre,per", [
+        (BIN, (), (2,)), (BIN, (), (2, 2)), (BIN, (2,), (2,)), (BIN, (2, 2), (2, 2)),
+        (K23, (), (2, 3, 2, 3)), (K23, (2,), (3, 2)), (PRE, (3,), (2, 2)), (PRE, (3, 2), (2,)),
+    ])
+    def test_spellings_of_the_maximum_have_no_gap_above(self, sys, pre, per):
+        x = Point(pre, per)
+        assert order_compare(x, p_max(sys)) == 0
+        assert not has_gap_above(sys, x) and not has_gap_below(sys, x)
+        with pytest.raises(ValueError, match="no immediate successor"):
+            suc(sys, x)
+
+    @pytest.mark.parametrize("sys,pre,per", [
+        (BIN, (), (1,)), (BIN, (), (1, 1)), (BIN, (1,), (1,)), (BIN, (1, 1), (1, 1)),
+        (K23, (), (1, 1, 1, 1)), (K23, (1,), (1, 1)), (PRE, (1,), (1, 1)), (PRE, (), (1,)),
+    ])
+    def test_spellings_of_the_minimum_have_no_gap_below(self, sys, pre, per):
+        x = Point(pre, per)
+        assert order_compare(x, p_min(sys)) == 0
+        assert not has_gap_below(sys, x) and not has_gap_above(sys, x)
+        with pytest.raises(ValueError, match="no immediate predecessor"):
+            pred(sys, x)
 
 
 def count_joint_words(monkeypatch):
