@@ -5,8 +5,10 @@ Four subcommands share one flag set (--system, --seed, --budget,
 
     refbound run PATH              execute a scenario file
     refbound fixture NAME [--run]  print (or run) a built-in scenario
-    refbound suite NAME|all        run property suites directly (--system
-                                   may repeat; reports come out in order)
+    refbound suite NAME...|all     run property suites directly (names,
+                                   --system and --seed may repeat; reports
+                                   come out by seed, then system, then
+                                   suite, each in the order given)
     refbound paper-examples GROUP  run a fixture group
 
 Exit codes: 0 all assertions held, 1 an assertion or suite failed,
@@ -23,6 +25,7 @@ import json
 import sys as _sys
 
 from .oracle import SUITE_NAMES, run_suite
+from .order import parse_system
 from .scenario import ScenarioError, ScenarioOutcome, run_scenario, run_scenario_text
 from .fixtures import FIXTURE_GROUPS, FIXTURE_NAMES, emit_fixture, fixture_group
 
@@ -36,12 +39,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "limit systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, systems=False):
+    def common(p, repeat=False):
         p.add_argument("--system", metavar="LITERAL", default=None,
-                       action="append" if systems else "store",
+                       action="append" if repeat else "store",
                        help="system literal, e.g. ';2' or '2;3,2'"
-                            + ("; repeat for several systems" if systems else ""))
-        p.add_argument("--seed", type=int, default=0)
+                            + ("; repeat for several systems" if repeat else ""))
+        p.add_argument("--seed", type=int, default=None if repeat else 0,
+                       action="append" if repeat else "store",
+                       help="repeat for several seeds" if repeat else None)
         p.add_argument("--budget", type=int, default=1,
                        help="sampling multiplier for suites")
         p.add_argument("--depth-cap", type=int, default=None, dest="depth_cap",
@@ -60,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_fix)
 
     p_suite = sub.add_parser("suite", help="run property suites")
-    p_suite.add_argument("name", choices=list(SUITE_NAMES) + ["all"])
-    common(p_suite, systems=True)
+    p_suite.add_argument("name", nargs="+", choices=list(SUITE_NAMES) + ["all"])
+    common(p_suite, repeat=True)
 
     p_pe = sub.add_parser("paper-examples", help="run a fixture group")
     p_pe.add_argument("group", choices=sorted(FIXTURE_GROUPS))
@@ -132,19 +137,25 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    names = list(SUITE_NAMES) if args.name == "all" else [args.name]
+    names = [n for name in args.name for n in (SUITE_NAMES if name == "all" else [name])]
+    # every literal is read before any suite runs, so a bad one costs no run
+    try:
+        systems = [parse_system(text) for text in args.system or [";2"]]
+    except ValueError as err:
+        raise ValueError(f"--system: {err}") from None
     reports = []
     with _json_file(args.json_path) as out:
-        for system in args.system or [None]:
-            for name in names:
-                rep = run_suite(name, system, args.seed, args.budget)
-                reports.append(rep)
-                status = "ok  " if rep.ok else "FAIL"
-                print(f"{status}  {rep.suite:<20} system={rep.system} "
-                      f"samples={rep.samples} violations={len(rep.violations)}")
-                for v in rep.violations:
-                    print(f"      #{v.index}: {v.description}"
-                          + (f"  [{v.witness}]" if v.witness else ""))
+        for seed in args.seed or [0]:
+            for system in systems:
+                for name in names:
+                    rep = run_suite(name, system, seed, args.budget)
+                    reports.append(rep)
+                    status = "ok  " if rep.ok else "FAIL"
+                    print(f"{status}  {rep.suite:<20} system={rep.system} seed={rep.seed} "
+                          f"samples={rep.samples} violations={len(rep.violations)}")
+                    for v in rep.violations:
+                        print(f"      #{v.index}: {v.description}"
+                              + (f"  [{v.witness}]" if v.witness else ""))
         bad = sum(1 for rep in reports if not rep.ok)
         print(f"{len(reports)} suites, {bad} failed")
         if out is not None:

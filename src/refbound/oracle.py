@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .order import (
@@ -590,7 +591,15 @@ def _suite_def_biconditions(sys, rng, budget, rec):
             rec.check(p_test(x, y) == (orbit_test(x, y) and le(x, y)),
                       "the pair test is orbit membership plus order",
                       lambda: _wp(sys, x=x, y=y))
-            rec.check(orbit_test(x, y) == (_maybe(merge_level, x, y) is not None),
+            # read off the digit words, not the orbit keys: past the longer
+            # preamble both strings are periodic, and periodic strings that
+            # agree on lx + ly - gcd(lx, ly) places are equal (Fine and Wilf)
+            w = max(len(x.preamble), len(y.preamble))
+            lx, ly = len(x.period), len(y.period)
+            span = w + lx + ly - gcd(lx, ly)
+            mates = x.word(span)[w:] == y.word(span)[w:]
+            rec.check(orbit_test(x, y) == mates
+                      and (_maybe(merge_level, x, y) is not None) == mates,
                       "orbit mates are exactly the points with merging tails",
                       lambda: _wp(sys, x=x, y=y))
     for x in pts[:4 + budget]:

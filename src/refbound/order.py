@@ -157,18 +157,30 @@ class Point:
     preamble is as short as possible.  Build through point() which
     canonicalizes and interns; two canonical points are equal iff their
     digit strings are.  word(n) gives the first n digits as one tuple,
-    which is how the order primitives below read them.  head is
-    preamble + period, the first len(head) digits, set once at
-    construction so order_compare can read it without unrolling; it
-    takes no part in ==, hash or repr.
+    which is how the order primitives below read them.
+
+    Two fields are set once at construction and take no part in ==,
+    hash or repr.  head is preamble + period, the first len(head)
+    digits, so order_compare can read it without unrolling.  orbit_key
+    is the primitive root r of the period (length d) rotated right by
+    len(preamble) mod d, so orbit_key[j] is the digit at every position
+    n = j + 1 (mod d) past the preamble.  It is the tail itself, indexed
+    by absolute position mod the minimal eventual period, so it does not
+    depend on spelling (a doubled period or a period digit moved into
+    the preamble gives the same key), and two points share an orbit
+    exactly when their keys are equal.
     """
 
     preamble: tuple[int, ...]
     period: tuple[int, ...]
     head: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    orbit_key: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "head", self.preamble + self.period)
+        root = _primitive_root(self.period)
+        r = len(self.preamble) % len(root)
+        object.__setattr__(self, "orbit_key", root[-r:] + root[:-r] if r else root)
 
     def digit(self, n: int) -> int:
         if n <= len(self.preamble):
@@ -311,11 +323,14 @@ def lt(x: Point, y: Point) -> bool:
 
 
 def orbit_test(x: Point, y: Point) -> bool:
-    """Do x and y agree from some position on (lie in the same orbit)?"""
-    if x is y:
-        return True
-    w, a, b = _joint_words(x, y)
-    return a[w:] == b[w:]
+    """Do x and y agree from some position on (lie in the same orbit)?
+
+    Past the longer preamble both digit strings are periodic with their
+    minimal periods, and they agree there exactly when those periods
+    have one length d and the same digit at each position mod d: that
+    is, when the orbit keys are equal.
+    """
+    return x is y or x.orbit_key == y.orbit_key
 
 
 def p_test(x: Point, y: Point) -> bool:
@@ -622,16 +637,32 @@ def _format_digits(sys: RefinementSystem, digits: Sequence[int]) -> str:
     return sep.join(str(d) for d in digits)
 
 
-def parse_digits(sys: RefinementSystem, text: str) -> tuple[int, ...]:
+def _ints(tokens, kind: str, literal: str) -> tuple[int, ...]:
+    # int() of each token; a bad one raises a ValueError that names it
+    # and the literal it came from
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{kind} {literal!r}: {tok!r} is not a number") from None
+    return tuple(out)
+
+
+def _digits(sys: RefinementSystem, text: str, kind: str, literal: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
     if "." in text:
-        return tuple(int(s) for s in text.split("."))
+        return _ints(text.split("."), kind, literal)
     if sys.k_max > 9:
         # without dots a wide system literal can only be one digit
-        return (int(text),)
-    return tuple(int(ch) for ch in text)
+        return _ints((text,), kind, literal)
+    return _ints(text, kind, literal)
+
+
+def parse_digits(sys: RefinementSystem, text: str) -> tuple[int, ...]:
+    return _digits(sys, text, "digit string", text)
 
 
 def format_point(sys: RefinementSystem, x: Point) -> str:
@@ -642,7 +673,8 @@ def parse_point(sys: RefinementSystem, text: str) -> Point:
     head, sep, tail = text.strip().partition("|")
     if not sep:
         raise ValueError(f"point literal needs a '|' between preamble and period: {text!r}")
-    return point(sys, parse_digits(sys, head), parse_digits(sys, tail))
+    return point(sys, _digits(sys, head, "point literal", text),
+                 _digits(sys, tail, "point literal", text))
 
 
 def format_system(sys: RefinementSystem) -> str:
@@ -656,7 +688,5 @@ def parse_system(text: str) -> RefinementSystem:
         raise ValueError(f"system literal needs a ';' before the cycle: {text!r}")
     def ints(s: str) -> tuple[int, ...]:
         s = s.strip()
-        if not s:
-            return ()
-        return tuple(int(p) for p in s.split(","))
+        return _ints(s.split(","), "system literal", text) if s else ()
     return RefinementSystem.make(ints(head), ints(tail))

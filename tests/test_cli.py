@@ -300,6 +300,42 @@ class TestCLI:
         data = json.loads(path.read_text())
         assert [r["system"] for r in data["reports"]] == [";2,3", ";2"]
 
+    def test_suite_repeated_seed_equals_per_seed_runs(self, tmp_path, capsys):
+        argv = ["suite", "lemma10", "lemma8", "--system", ";2,3", "--system", ";2",
+                "--budget", "2"]
+        joint = tmp_path / "joint.json"
+        assert main(argv + ["--seed", "3", "--seed", "1", "--json", str(joint)]) == 0
+        joint_lines = capsys.readouterr().out.splitlines()
+        reports, lines = [], []
+        for seed in ("3", "1"):
+            path = tmp_path / f"{seed}.json"
+            assert main(argv + ["--seed", seed, "--json", str(path)]) == 0
+            lines += capsys.readouterr().out.splitlines()[:-1]
+            reports += json.loads(path.read_text())["reports"]
+        # by seed, then system, then suite, each in the order given
+        assert [(r["seed"], r["system"], r["suite"]) for r in reports] == [
+            (seed, system, suite) for seed in (3, 1) for system in (";2,3", ";2")
+            for suite in ("lemma10", "lemma8")]
+        assert json.loads(joint.read_text()) == {"exit": 0, "reports": reports}
+        assert joint_lines == lines + ["8 suites, 0 failed"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["suite", "lemma8", "--system", ";2", "--system", ";2,x"],
+         "--system: system literal ';2,x': 'x' is not a number"),
+        (["fixture", "trivial", "--run", "--system", "3,y;2"],
+         "system literal '3,y;2': 'y' is not a number"),
+        (["run", "SCENARIO"], "line 2, column 11: point literal '|x': 'x' is not a number"),
+    ], ids=["suite", "fixture", "run"])
+    def test_bad_literal_is_named(self, tmp_path, capsys, argv, message):
+        scenario = tmp_path / "bad.scn"
+        scenario.write_text("system ;2\npoint a = |x\n")
+        argv = [str(scenario) if a == "SCENARIO" else a for a in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        # every literal is read before any work: no suite ran
+        assert out == ""
+
     def test_paper_examples_groups(self, capsys):
         for group in sorted(FIXTURE_GROUPS):
             assert main(["paper-examples", group]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from math import lcm
@@ -39,6 +40,7 @@ from refbound.order import (
     p_max,
     p_min,
     p_test,
+    parse_digits,
     parse_point,
     parse_system,
     point,
@@ -354,6 +356,22 @@ class TestLiterals:
             parse_point(BIN, "12")
         with pytest.raises(ValueError):
             parse_system("2,3")
+
+    @pytest.mark.parametrize("parse,text,message", [
+        (parse_system, ";2,x", "system literal ';2,x': 'x' is not a number"),
+        (parse_system, "3,,2;2", "system literal '3,,2;2': '' is not a number"),
+        (lambda text: parse_point(BIN, text), "|x",
+         "point literal '|x': 'x' is not a number"),
+        (lambda text: parse_point(BIN, text), "1a|2",
+         "point literal '1a|2': 'a' is not a number"),
+        (lambda text: parse_point(RefinementSystem.make((), (12,)), text), "10.b|3",
+         "point literal '10.b|3': 'b' is not a number"),
+        (lambda text: parse_digits(BIN, text), "12?", "digit string '12?': '?' is not a number"),
+    ])
+    def test_bad_tokens_are_named(self, parse, text, message):
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -855,3 +873,92 @@ class TestHeadCompare:
         calls = count_joint_words(monkeypatch)
         assert order_compare(x, Point(x.preamble, x.period)) == 0
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the orbit key
+
+
+def orbit_spellings(sys, rng, count):
+    """Canonical points with orbit mates among them, plus directly built spellings."""
+    L = sys.cycle_len
+    points = [p_min(sys), p_max(sys)]
+    while len(points) < count:
+        if len(points) > 4 and rng.random() < 0.4:
+            # an orbit mate of an earlier point
+            base = rng.choice(points)
+            word = raw_digits(rng, sys, 1, rng.choice((1, 2, 3, 5)), bad=False)
+            points.append(replace_prefix(sys, base, word))
+            continue
+        pre = raw_digits(rng, sys, 1, rng.choice((0, 1, 2, 4)), bad=False)
+        per = raw_digits(rng, sys, len(pre) + 1, L * rng.choice((1, 2, 3)), bad=False)
+        x = outcome(point, sys, pre, per)
+        if isinstance(x, Point):
+            points.append(x)
+    built = [Point(x.preamble, x.period * 2) for x in points]
+    built += [respelled(x) for x in points]
+    return points, built
+
+
+class TestOrbitKey:
+    @pytest.mark.parametrize("sys", CHANGES_SYSTEMS, ids=format_system)
+    def test_equal_keys_are_reference_orbits(self, sys):
+        rng = random.Random("orbit-key|" + format_system(sys))
+        points, built = orbit_spellings(sys, rng, 40)
+        mates = 0
+        for x in points + built:
+            for y in points:
+                same = ref_orbit(x, y)
+                assert (x.orbit_key == y.orbit_key) == same == orbit_test(x, y), (x, y)
+                mates += same and x != y
+        assert mates > len(points)
+        for x, y in zip(points, built[:len(points)]):
+            assert x.orbit_key == y.orbit_key == respelled(x).orbit_key
+
+    def test_key_is_the_tail_by_position(self):
+        # key[j] is the digit at every position n = j + 1 (mod d) past the preamble
+        for sys, text, key in ((BIN, "|12", (1, 2)), (BIN, "1|12", (2, 1)),
+                               (BIN, "12|2", (2,)), (K23, "212|3112", (1, 1, 2, 3)),
+                               (K23, "2|1211", (1, 1, 2, 1))):
+            x = pt(sys, text)
+            assert x.orbit_key == key, (text, x.orbit_key)
+            d, w = len(key), len(x.preamble)
+            assert all(x.digit(n) == key[(n - 1) % d] for n in range(w + 1, w + 3 * d + 1))
+
+    @pytest.mark.parametrize("sys", CHANGES_SYSTEMS, ids=format_system)
+    def test_replace_prefix_keeps_the_key(self, sys):
+        rng = random.Random("orbit-key-prefix|" + format_system(sys))
+        points, _ = orbit_spellings(sys, rng, 20)
+        for x in points:
+            for n in (1, 2, 3, 6):
+                y = replace_prefix(sys, x, raw_digits(rng, sys, 1, n, bad=False))
+                assert y.orbit_key == x.orbit_key and orbit_test(x, y)
+
+    def test_key_takes_no_part_in_eq_hash_or_repr(self):
+        x = pt(K23, "21|1312")
+        field = {f.name: f for f in dataclasses.fields(Point)}["orbit_key"]
+        assert not (field.init or field.repr or field.compare)
+        assert "orbit_key" not in repr(x)
+        assert repr(x) == "Point(preamble=(2, 1), period=(1, 3, 1, 2))"
+        assert hash(x) == hash((x.preamble, x.period))
+        y = respelled(x)
+        assert y.orbit_key == x.orbit_key and y != x
+        assert Point(x.preamble, x.period) == x
+
+    @pytest.mark.parametrize("sys", CHANGES_SYSTEMS[:6], ids=format_system)
+    def test_orbit_primitives_unroll_no_joint_words(self, monkeypatch, sys):
+        rng = random.Random("orbit-key-calls|" + format_system(sys))
+        points, built = orbit_spellings(sys, rng, 30)
+        pairs = [(rng.choice(points + built), rng.choice(points)) for _ in range(300)]
+        calls = count_joint_words(monkeypatch)
+        mates = 0
+        for x, y in pairs:
+            same = ref_orbit(x, y)
+            mates += same
+            assert orbit_test(x, y) == same
+            assert outcome(merge_level, x, y) == outcome(ref_merge_level, x, y)
+            n = min(len(x.head), len(y.head))
+            if x.head[:n] != y.head[:n]:
+                # the heads decide the order, so le unrolls nothing either
+                assert p_test(x, y) == (same and ref_compare(x, y) <= 0)
+        assert calls == [] and mates > 0
