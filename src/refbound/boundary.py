@@ -135,7 +135,9 @@ class PiecewiseBF:
     library operation, which all return that spelling, so == and hash
     compare functions.  Pieces spelled by hand compare as spelled until
     they go through normalize_bf; lists are stored as tuples, so every
-    function hashes.
+    function hashes.  The hash is hash((pieces, mode)), stored once as
+    Point's is.  Mode's hash depends on PYTHONHASHSEED, so pickling and
+    copying keep only pieces and mode and rebuild the hash.
     """
 
     pieces: tuple[Piece, ...]
@@ -143,6 +145,18 @@ class PiecewiseBF:
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(map(tuple, self.pieces)))
+
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.pieces, self.mode))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return PiecewiseBF, (self.pieces, self.mode)
 
 
 @dataclass(frozen=True)

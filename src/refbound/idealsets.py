@@ -229,6 +229,10 @@ class Module:
     inner: object
 
 
+_EXPRESSIONS = (Empty, Full, Strip, StripPlus, Corner, FiniteLevel, OfBFOpen,
+                OfBFClosed, Union, Intersection, Module)
+
+
 def union(*parts) -> Union:
     return Union(tuple(parts))
 
@@ -355,7 +359,11 @@ def boundary_of(sys: RefinementSystem, expr) -> PiecewiseBF:
     boundary is memoized like bf_minus, so a repeat returns the same
     object and no expression's pieces are validated twice.
     """
-    return _boundary(sys, _unwrap(expr), expr_mode(expr))
+    inner = _unwrap(expr)
+    # checked before the memo lookup, which would fail on an unhashable input
+    if not isinstance(inner, _EXPRESSIONS):
+        raise TypeError(f"not an ideal-set expression: {inner!r}")
+    return _boundary(sys, inner, expr_mode(expr))
 
 
 # Memoized like bf_minus: both distinct suites passes of the benchmark ask

@@ -47,6 +47,7 @@ from .order import (
     RefinementError,
     RefinementSystem,
     construct_between_no_gap_below,
+    first_difference,
     format_point,
     has_gap_above,
     has_gap_below,
@@ -57,7 +58,7 @@ from .order import (
     interval_sup,
     le,
     lt,
-    min_tail_point,
+    max_tail_point,
     order_compare,
     p_max,
     p_min,
@@ -193,27 +194,42 @@ def _internal(msg: str) -> RefinementError:
     return RefinementError(f"classification self-check failed: {msg}")
 
 
-def _gap_below_points_inside(sys: RefinementSystem, ival: OrderInterval,
-                             count: int) -> list[Point]:
-    """Strictly increasing eventually-low points interior to the interval.
+def _cylinder_tops_inside(sys: RefinementSystem, ival: OrderInterval,
+                          count: int) -> list[Point]:
+    """Tops of count consecutive level-n cylinders, each just below a
+    gap-below point inside the infinite interval, in increasing order.
 
-    Only meaningful for infinite intervals, where enough interior
-    cylinders exist at some finite level.
+    Let n be the first level at which more than count words lie strictly
+    between the ends' words, of ranks ra < rb.  Each word w_r with
+    ra < r <= ra + count starts the eventually-1 point min_tail_point(w_r),
+    which lies strictly inside the interval (its first n digits differ
+    from both ends' there) and is not p_min (r >= 1), so it has a gap
+    below; its predecessor is max_tail_point(w_(r-1)), the top of the
+    cylinder one rank down.  Those tops, of ranks ra to ra + count - 1,
+    are returned.
+
+    Below the first difference of the ends their words are equal.  Once
+    one word lies strictly between them, each further level at least
+    doubles that count (every word has k >= 2 extensions), so
+    ceil(log2(count + 1)) levels more suffice.  One word lies between by
+    the window (the largest of the first difference, the longer preamble
+    and the system prefix) plus the longer period: otherwise the lower
+    end runs maximal and the upper end minimal through a whole period
+    past the window, so forever, and the interval would be a gap pair.
     """
-    bottom = p_min(sys)
-    for n in range(1, 200):
-        ra = word_rank(sys, ival.lo.word(n))
-        rb = word_rank(sys, ival.hi.word(n))
-        if rb - ra <= count:
-            continue
-        out = []
-        for r in range(ra + 1, rb):
-            cand = min_tail_point(sys, word_at(sys, n, r))
-            if lt(ival.lo, cand) and lt(cand, ival.hi) and cand != bottom:
-                out.append(cand)
-        if len(out) >= count:
-            return out[:count]
-    raise _internal(f"could not find {count} interior points")
+    lo, hi = ival.lo, ival.hi
+    n = first_difference(lo, hi)
+    window = max(n, len(lo.preamble), len(hi.preamble), sys.prefix_len)
+    bound = window + max(len(lo.period), len(hi.period)) + count.bit_length()
+    lw, hw, ks = lo.word(bound), hi.word(bound), sys.k_word(bound)
+    ra, rb = word_rank(sys, lw[:n]), word_rank(sys, hw[:n])
+    while rb - ra <= count:
+        if n == bound:
+            raise _internal(f"could not find {count} interior points")
+        ra = ra * ks[n] + lw[n] - 1
+        rb = rb * ks[n] + hw[n] - 1
+        n += 1
+    return [max_tail_point(sys, word_at(sys, n, r)) for r in range(ra, ra + count)]
 
 
 def _sup_leq(sys: RefinementSystem, bf: PiecewiseBF, c: Point) -> Point:
@@ -274,8 +290,8 @@ def classify_meet_bf(sys: RefinementSystem, phi: PiecewiseBF) -> MeetClass:
         # values from inside it
         ival = next(iv for iv, leaf in phi.pieces
                     if isinstance(leaf, IdentityMinus))
-        ys = _gap_below_points_inside(sys, ival, 4)
-        return _reduce_meet(sys, phi, pred(sys, ys[0]), pred(sys, ys[3]))
+        tops = _cylinder_tops_inside(sys, ival, 4)
+        return _reduce_meet(sys, phi, tops[0], tops[3])
 
     if len(vals) == 1:
         a = vals[0]
@@ -339,9 +355,8 @@ def classify_join_bf(sys: RefinementSystem, phi: PiecewiseBF) -> JoinClass:
     bottom = p_min(sys)
 
     if vals is None:
-        ys = _gap_below_points_inside(sys, _infinite_image(sys, phi), 4)
-        a, b = pred(sys, ys[1]), pred(sys, ys[3])
-        c = construct_between_no_gap_below(sys, a, b)
+        tops = _cylinder_tops_inside(sys, _infinite_image(sys, phi), 4)
+        c = construct_between_no_gap_below(sys, tops[1], tops[3])
         if c is None:
             raise _internal("no room between the chosen image values")
         return _reduce_join(sys, phi, c)

@@ -169,6 +169,11 @@ class Point:
     depend on spelling (a doubled period or a period digit moved into
     the preamble gives the same key), and two points share an orbit
     exactly when their keys are equal.
+
+    The hash is hash((preamble, period)), computed on first use and
+    stored, because points key every memo table.  It is not a field, so
+    it is in neither ==, repr nor dataclasses.fields; pickling and
+    copying keep only preamble and period and rebuild the rest.
     """
 
     preamble: tuple[int, ...]
@@ -181,6 +186,18 @@ class Point:
         root = _primitive_root(self.period)
         r = len(self.preamble) % len(root)
         object.__setattr__(self, "orbit_key", root[-r:] + root[:-r] if r else root)
+
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.preamble, self.period))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return Point, (self.preamble, self.period)
 
     def digit(self, n: int) -> int:
         if n <= len(self.preamble):
@@ -462,10 +479,28 @@ def replace_prefix(sys: RefinementSystem, x: Point, word: Sequence[int]) -> Poin
 
 @dataclass(frozen=True)
 class OrderInterval:
+    """Points from lo to hi, each end open or closed.
+
+    Hashes like Point: hash of the field tuple, stored on first use and
+    rebuilt on unpickling or copying.
+    """
+
     lo: Point
     hi: Point
     lo_open: bool = False
     hi_open: bool = False
+
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.lo, self.hi, self.lo_open, self.hi_open))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return OrderInterval, (self.lo, self.hi, self.lo_open, self.hi_open)
 
 
 def interval(sys: RefinementSystem, lo: Point, hi: Point,
@@ -611,15 +646,15 @@ def word_count(sys: RefinementSystem, n: int) -> int:
 def word_rank(sys: RefinementSystem, word: Sequence[int]) -> int:
     """Zero-based lexicographic rank of word among words of its length."""
     r = 0
-    for i, d in enumerate(word, start=1):
-        r = r * sys.k_at(i) + (d - 1)
+    for d, k in zip(word, sys.k_word(len(word))):
+        r = r * k + (d - 1)
     return r
 
 
 def word_at(sys: RefinementSystem, n: int, rank: int) -> tuple[int, ...]:
     digits = []
-    for i in range(n, 0, -1):
-        rank, d = divmod(rank, sys.k_at(i))
+    for k in reversed(sys.k_word(n)):
+        rank, d = divmod(rank, k)
         digits.append(d + 1)
     return tuple(reversed(digits))
 

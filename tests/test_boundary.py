@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import itertools
+import os
+import pickle
 import random
 import subprocess
 import sys as _sys
@@ -72,6 +76,7 @@ from refbound.order import (
     DigitRangeError,
     EmptyIntervalError,
     OrderInterval,
+    Point,
     RefinementSystem,
     construct_between,
     cylinder_bounds,
@@ -921,6 +926,75 @@ class TestHashableSpellings:
             assert boundary_of(BIN, listed) == boundary_of(BIN, spelled)
             assert boundary_of(BIN, cls([listed, Strip(b, b)])) \
                 == boundary_of(BIN, cls((spelled, Strip(b, b))))
+
+
+class TestStoredHashes:
+    """Points, intervals and functions hash once, to their field tuple's hash."""
+
+    def test_hash_is_the_field_tuple_hash(self):
+        x = pt("21|12")
+        for p in (x, Point(x.preamble, x.period), Point((2,), (1, 2, 1, 2)),
+                  dataclasses.replace(x, preamble=(1,) + x.preamble)):
+            assert hash(p) == hash((p.preamble, p.period))
+        for ival in (OrderInterval(LO, x, False, True), OrderInterval(x, HI),
+                     dataclasses.replace(interval(BIN, LO, x), hi_open=True)):
+            assert hash(ival) == hash((ival.lo, ival.hi, ival.lo_open, ival.hi_open))
+        f = strip_bf(pt("1|2"), pt("21|1"))
+        for mode in Mode:
+            listed = PiecewiseBF([[ival, leaf] for ival, leaf in f.pieces], mode)
+            assert hash(listed) == hash((f.pieces, mode))
+            assert hash(dataclasses.replace(listed, mode=Mode.IDEAL)) == hash(f)
+
+    def test_hash_takes_no_part_in_repr_eq_or_fields(self):
+        x = pt("21|12")
+        cases = ((x, ["preamble", "period", "head", "orbit_key"]),
+                 (interval(BIN, LO, x, hi_open=True), ["lo", "hi", "lo_open", "hi_open"]),
+                 (strip_bf(pt("1|2"), pt("21|1")), ["pieces", "mode"]))
+        for obj, names in cases:
+            assert [f.name for f in dataclasses.fields(obj)] == names
+            hash(obj)
+            assert "_hash" not in repr(obj)
+            # copies and pickles carry the fields, not the stored hash
+            for twin in (copy.copy(obj), pickle.loads(pickle.dumps(obj))):
+                assert "_hash" not in vars(twin)
+            twin = copy.copy(obj)
+            assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+            object.__setattr__(twin, "_hash", hash(obj) + 1)
+            assert twin == obj
+            assert copy.deepcopy(obj) == obj and hash(copy.deepcopy(obj)) == hash(obj)
+
+    def test_pickled_function_rehashes_under_another_hash_seed(self):
+        # Mode hashes its name, so a function's hash depends on PYTHONHASHSEED
+        # and a pickle must not carry it into another process
+        src = str(Path(boundary.__file__).resolve().parent.parent)
+        head = f"""
+import pickle, sys
+sys.path.insert(0, {src!r})
+from refbound import boundary, order
+S = order.parse_system(';2')
+fresh = [boundary.parse_bf(S, text) for text in (
+    '[|1, 1|2] -> const(|1); [2|1, 22|1] -> id-; (22|1, |2] -> id',
+    'module [|1, |2] -> const(|2)')]
+"""
+        # hashed before pickling, so a stored hash would be in the pickle
+        dump = head + "old = list(map(hash, fresh))\nprint(pickle.dumps(fresh).hex(), *old)"
+        load = head + """
+data, *old = sys.stdin.read().split()
+got = pickle.loads(bytes.fromhex(data))
+assert [f.mode for f in got] == [boundary.Mode.IDEAL, boundary.Mode.MODULE]
+for f, g, h in zip(got, fresh, old):
+    assert f == g and hash(f) == hash(g) != int(h), 'stale or wrong hash'
+    assert {g: 'found'}[f] == 'found' and f in set(fresh)
+"""
+
+        def run(code, seed, stdin=None):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            done = subprocess.run([_sys.executable, "-c", code], input=stdin,
+                                  capture_output=True, text=True, env=env)
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        run(load, "2", run(dump, "1"))
 
 
 def test_reimport_frees_the_old_library():

@@ -228,6 +228,13 @@ class TestBoundaries:
         assert got[1] == ("|12", "2|21", Const(self.a))
         assert got[2][:2] == ("2|21", "|2")
 
+    @pytest.mark.parametrize("bad", [[1, 2], {"a": 1}], ids=["list", "dict"])
+    def test_a_non_expression_is_named(self, bad):
+        # unhashable inputs must not fail inside the memo lookup instead
+        for expr in (bad, module(bad)):
+            with pytest.raises(TypeError, match=r"^not an ideal-set expression: "):
+                boundary_of(BIN, expr)
+
     def test_degenerate_strip_blocks_nothing(self):
         st = Strip(self.b, self.a)  # a > b: empty block
         assert bf_eq(BIN, boundary_of(BIN, st), identity_bf(BIN))

@@ -43,12 +43,14 @@ from refbound.irreducibility import (
     classify_meet_bf,
     classify_meet_ideal,
     construct_family,
+    _cylinder_tops_inside,
     _values,
 )
 from refbound.oracle import random_bf
 from refbound.order import (
     EmptyIntervalError,
     RefinementError,
+    format_system,
     full_interval,
     has_gap_above,
     has_gap_below,
@@ -56,11 +58,18 @@ from refbound.order import (
     interval_intersect,
     interval_small_points,
     lt,
+    max_tail_point,
+    min_tail_point,
+    order_compare,
     p_max,
     p_min,
     parse_point,
     parse_system,
+    point,
+    pred,
     suc,
+    word_at,
+    word_rank,
 )
 
 BIN = parse_system(";2")
@@ -505,3 +514,111 @@ class TestConstructFamily:
         assert classify_meet_bf(BIN, g).kind == "psi_paab"
         h = construct_family(BIN, "phi_at", a=pt("|21"), t=pt("21|2"))
         assert classify_join_bf(BIN, h).kind == "phi_at"
+
+
+# ---------------------------------------------------------------------------
+# interior cylinder tops, against the scan they replace
+
+TEN_SYSTEMS = [parse_system(t) for t in (
+    ";2", ";2,3", "3;2", ";3", ";11", "2;2,2,3", "12;2,13", ";2,3,5", ";7,11", "5,13;3,4,7")]
+
+
+def ref_tops_inside(sys, ival, count):
+    """The former scan for interior eventually-1 points, then pred of each.
+
+    It tries levels 1 to 199 and, at the first with more than count words
+    strictly between the ends' words, builds every candidate and filters.
+    """
+    bottom = p_min(sys)
+    for n in range(1, 200):
+        ra = word_rank(sys, ival.lo.word(n))
+        rb = word_rank(sys, ival.hi.word(n))
+        if rb - ra <= count:
+            continue
+        out = []
+        for r in range(ra + 1, rb):
+            cand = min_tail_point(sys, word_at(sys, n, r))
+            if lt(ival.lo, cand) and lt(cand, ival.hi) and cand != bottom:
+                out.append(cand)
+        if len(out) >= count:
+            return [pred(sys, y) for y in out[:count]]
+    raise AssertionError(f"the scan found fewer than {count} points")
+
+
+def random_tail_point(sys, rng, digits):
+    # digits (at least the system prefix long), then a random aligned period
+    per = sys.cycle_len * rng.randint(1, 3)
+    ks = sys.k_word(len(digits) + per)
+    return point(sys, digits, [rng.randint(1, k) for k in ks[len(digits):]])
+
+
+def random_interval_ends(sys, rng):
+    """Two points: unrelated, or first differing by one digit with the lower
+    running maximal and the upper minimal for a while after (deep levels)."""
+    j = sys.prefix_len + rng.randrange(6)
+    ks = sys.k_word(j + 60)
+    head = [rng.randint(1, k) for k in ks[:j]]
+    if rng.random() < 0.4:
+        return (random_tail_point(sys, rng, head + [rng.randint(1, ks[j])]),
+                random_tail_point(sys, rng, [rng.randint(1, k) for k in ks[:j + 1]]))
+    d = rng.randint(1, ks[j] - 1)
+    low = head + [d] + list(ks[j + 1:j + 1 + rng.randrange(50)])
+    high = head + [d + 1] + [1] * rng.randrange(50)
+    return random_tail_point(sys, rng, low), random_tail_point(sys, rng, high)
+
+
+class TestCylinderTopsInside:
+    @pytest.mark.parametrize("sys", TEN_SYSTEMS, ids=format_system)
+    def test_tops_match_the_scan_they_replace(self, sys):
+        rng = random.Random("cylinder-tops|" + format_system(sys))
+        checked = 0
+        while checked < 60:
+            x, y = random_interval_ends(sys, rng)
+            if order_compare(x, y) == 0:
+                continue
+            if order_compare(x, y) > 0:
+                x, y = y, x
+            try:
+                ival = interval(sys, x, y, rng.random() < 0.3, rng.random() < 0.3)
+            except EmptyIntervalError:
+                continue
+            if interval_small_points(sys, ival) is not None:
+                continue
+            for count in (1, 4):
+                got = _cylinder_tops_inside(sys, ival, count)
+                assert got == ref_tops_inside(sys, ival, count), (ival, count)
+            checked += 1
+
+    def test_level_one_can_suffice(self):
+        wide = parse_system(";11")
+        got = _cylinder_tops_inside(wide, full_interval(wide), 4)
+        assert got == [max_tail_point(wide, (d,)) for d in range(1, 5)]
+
+
+class TestEndsFirstDifferPastLevel200:
+    """A piece [a, b] whose ends first differ at digit 207."""
+
+    a = pt("2|1")
+    b = point(BIN, (2,) + (1,) * 205 + (2,), (1, 2))
+
+    def function(self, leaf):
+        return make_bf(BIN, [
+            (interval(BIN, p_min(BIN), self.a, hi_open=True), Const(p_min(BIN))),
+            (interval(BIN, self.a, self.b), leaf),
+            (interval(BIN, self.b, p_max(BIN), lo_open=True), Const(self.b)),
+        ])
+
+    @pytest.mark.parametrize("leaf", [ID, ID_MINUS], ids=["id", "id-"])
+    def test_join_witnesses_recompose(self, leaf):
+        f = self.function(leaf)
+        got = classify_join_bf(BIN, f)
+        assert got.kind == "reducible"
+        w1, w2 = got.witnesses
+        assert bf_join(BIN, w1, w2) == f and w1 != f and w2 != f
+
+    def test_meet_witnesses_recompose(self):
+        f = self.function(ID_MINUS)
+        got = classify_meet_bf(BIN, f)
+        assert got.kind == "reducible"
+        w1, w2 = got.witnesses
+        assert bf_meet(BIN, w1, w2) == f and w1 != f and w2 != f
