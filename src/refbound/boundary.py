@@ -441,6 +441,33 @@ def bf_minus(sys: RefinementSystem, f: PiecewiseBF) -> PiecewiseBF:
 # other end to occupy.
 
 
+# What a level search reads off the function depends only on the system
+# and the function, so it is built once per (system, function) and kept in
+# a table like bf_minus's; errors are never stored.
+@lru_cache(maxsize=4096)
+def _search_data(sys: RefinementSystem, bf: PiecewiseBF) -> tuple[tuple, int, int]:
+    """(closed pieces, longest preamble, period lcm) of the function.
+
+    Each closed piece is (lo, lo_open, hi, hi_open, leaf) with every open
+    end that has a gap on its open side closed onto its neighbour.  The
+    preamble and the lcm run over the system and the points the function
+    is built from.
+    """
+    closed = []
+    pre, per = sys.prefix_len, sys.cycle_len
+    for ival, leaf in bf.pieces:
+        lo, lo_open, hi, hi_open = ival.lo, ival.lo_open, ival.hi, ival.hi_open
+        if lo_open and has_gap_above(sys, lo):
+            lo, lo_open = suc(sys, lo), False
+        if hi_open and has_gap_below(sys, hi):
+            hi, hi_open = pred(sys, hi), False
+        closed.append((lo, lo_open, hi, hi_open, leaf))
+        for pt in (ival.lo, ival.hi) + ((leaf.value,) if isinstance(leaf, Const) else ()):
+            pre = max(pre, len(pt.preamble))
+            per = lcm(per, len(pt.period))
+    return tuple(closed), pre, per
+
+
 def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
                         u: Sequence[int], v: Sequence[int],
                         strictness: Strictness = Strictness.NONSTRICT) -> bool:
@@ -450,8 +477,9 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
     and raised compares against phi(v w) pushed through its gap above.
     Each piece meets the v-cylinder in a cell, decided on digit words
     without building points; only a left-limit leaf with u = v,
-    nonstrict, lists the cell's points.  v is range-checked on every
-    call, u where a constant leaf reads it (DigitRangeError).
+    nonstrict, lists the cell's points.  The pieces, their open ends
+    closed across gaps, come from _search_data.  v is range-checked on
+    every call, u where a constant leaf reads it (DigitRangeError).
     """
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
@@ -459,12 +487,7 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
     n = len(v)
     ks = sys.k_word(n)
     check_digits(v, ks)
-    for ival, leaf in bf.pieces:
-        lo, lo_open, hi, hi_open = ival.lo, ival.lo_open, ival.hi, ival.hi_open
-        if lo_open and has_gap_above(sys, lo):
-            lo, lo_open = suc(sys, lo), False
-        if hi_open and has_gap_below(sys, hi):
-            hi, hi_open = pred(sys, hi), False
+    for lo, lo_open, hi, hi_open, leaf in _search_data(sys, bf)[0]:
         hw = hi.word(n)
         if hw < v:
             continue
@@ -517,15 +540,11 @@ def _level_bounds(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point) ->
 
     The data level is the longest preamble among the system, x, y and the
     points the function is built from; the scan bound adds twice the lcm
-    of all their periods.
+    of all their periods.  The function's share comes from _search_data.
     """
-    pre, per = sys.prefix_len, sys.cycle_len
-    pts = [x, y]
-    for ival, leaf in bf.pieces:
-        pts += (ival.lo, ival.hi) + ((leaf.value,) if isinstance(leaf, Const) else ())
-    for pt in pts:
-        pre = max(pre, len(pt.preamble))
-        per = lcm(per, len(pt.period))
+    _, pre, per = _search_data(sys, bf)
+    pre = max(pre, len(x.preamble), len(y.preamble))
+    per = lcm(per, len(x.period), len(y.period))
     return pre, pre + 2 * per
 
 
@@ -536,10 +555,14 @@ def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     x and y share digit m + 1, so the level m + 1 cylinder pairs are a
     subset of the level m ones and a passing level stays passing deeper
     down.  Levels up to the data level are scanned in order, where most
-    answers lie; beyond it the search gallops and then bisects, so a No
-    costs O(log lcm) checks rather than the 2 lcm of a scan to the bound.
-    The verdict is the one a scan of every level up to the bound (or up
-    to depth_cap, which then leaves it unknown) would give.
+    answers lie.  Past it the last level the search may reach (the
+    bound, or depth_cap below it) is checked once: by monotonicity it
+    fails exactly when every level fails, so a No costs the scan plus
+    that one check.  When it passes, the search gallops and then bisects
+    below it, so a deep Yes costs O(log lcm) checks more rather than the
+    2 lcm of a scan to the bound.  The verdict is the one a scan of every
+    level up to the bound (or up to depth_cap, which then leaves it
+    unknown) would give.
     """
     def passes(m: int) -> bool:
         return cylinder_within_eta(sys, bf, x.word(m), y.word(m),
@@ -558,14 +581,14 @@ def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
         if passes(m):
             return verdict_yes(m)
         lo = m
-    base, step = lo, 1
-    while lo < stop:
-        hi = min(base + step, stop)
-        if passes(hi):
-            break
-        lo, step = hi, 2 * step
-    else:
+    if lo == stop or not passes(stop):
         return verdict_unknown(stop) if stop < bound else VERDICT_NO
+    base, step, hi = lo, 1, stop  # hi: shallowest level known to pass
+    while base + step < stop:
+        if passes(base + step):
+            hi = base + step
+            break
+        lo, step = base + step, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if passes(mid):
@@ -585,8 +608,10 @@ def sigma_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     the test is monotone in m and the least passing level is searched
     for rather than scanned to.  The search is complete: beyond the
     preamble data everything repeats, so levels up to the computed
-    bound decide.  A depth cap below that bound can leave the answer
-    unknown.
+    bound decide.  A No costs the scan up to the data level plus one
+    check at the bound; a Yes costs that scan, or one check at the bound
+    plus a gallop and bisection below it.  A depth cap below that bound
+    can leave the answer unknown.
     """
     if bf.mode is Mode.IDEAL:
         if not p_test(x, y):
@@ -640,7 +665,8 @@ def modification_certificate(sys: RefinementSystem, bf: PiecewiseBF, y: Point) -
     the least witnessing level m; its cylinder words are the first m
     digits of suc phi(y) and of y.  As in sigma_member, deeper cylinders
     are subsets of shallower ones, so the raised linkage is monotone in
-    the level and the least witnessing level is searched for.
+    the level and the least witnessing level is searched for, at the
+    costs sigma_member states.
     """
     if not has_gap_below(sys, y):
         return VERDICT_NO

@@ -211,8 +211,16 @@ class OfBFClosed:
 class Union:
     parts: tuple
 
-    def __post_init__(self):  # parts given as a list still hash
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __post_init__(self):
+        # parts given as a list still hash, and a part that cannot hash is
+        # refused here rather than inside a memo lookup
+        parts = tuple(self.parts)
+        for part in parts:
+            try:
+                hash(part)
+            except TypeError:
+                raise TypeError(f"not an ideal-set expression: {part!r}") from None
+        object.__setattr__(self, "parts", parts)
 
 
 @dataclass(frozen=True)

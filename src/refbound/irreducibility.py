@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .boundary import (
     Const,
@@ -194,10 +194,10 @@ def _internal(msg: str) -> RefinementError:
     return RefinementError(f"classification self-check failed: {msg}")
 
 
-def _cylinder_tops_inside(sys: RefinementSystem, ival: OrderInterval,
-                          count: int) -> list[Point]:
-    """Tops of count consecutive level-n cylinders, each just below a
-    gap-below point inside the infinite interval, in increasing order.
+def _cylinder_tops_inside(sys: RefinementSystem, ival: OrderInterval, count: int,
+                          picks: Sequence[int]) -> list[Point]:
+    """Tops picked from count consecutive level-n cylinders, each just
+    below a gap-below point inside the infinite interval.
 
     Let n be the first level at which more than count words lie strictly
     between the ends' words, of ranks ra < rb.  Each word w_r with
@@ -205,8 +205,8 @@ def _cylinder_tops_inside(sys: RefinementSystem, ival: OrderInterval,
     which lies strictly inside the interval (its first n digits differ
     from both ends' there) and is not p_min (r >= 1), so it has a gap
     below; its predecessor is max_tail_point(w_(r-1)), the top of the
-    cylinder one rank down.  Those tops, of ranks ra to ra + count - 1,
-    are returned.
+    cylinder one rank down.  The tops of ranks ra + i, for i in picks
+    (each below count), are built and returned in that order.
 
     Below the first difference of the ends their words are equal.  Once
     one word lies strictly between them, each further level at least
@@ -229,7 +229,7 @@ def _cylinder_tops_inside(sys: RefinementSystem, ival: OrderInterval,
         ra = ra * ks[n] + lw[n] - 1
         rb = rb * ks[n] + hw[n] - 1
         n += 1
-    return [max_tail_point(sys, word_at(sys, n, r)) for r in range(ra, ra + count)]
+    return [max_tail_point(sys, word_at(sys, n, ra + i)) for i in picks]
 
 
 def _sup_leq(sys: RefinementSystem, bf: PiecewiseBF, c: Point) -> Point:
@@ -290,8 +290,7 @@ def classify_meet_bf(sys: RefinementSystem, phi: PiecewiseBF) -> MeetClass:
         # values from inside it
         ival = next(iv for iv, leaf in phi.pieces
                     if isinstance(leaf, IdentityMinus))
-        tops = _cylinder_tops_inside(sys, ival, 4)
-        return _reduce_meet(sys, phi, tops[0], tops[3])
+        return _reduce_meet(sys, phi, *_cylinder_tops_inside(sys, ival, 4, (0, 3)))
 
     if len(vals) == 1:
         a = vals[0]
@@ -355,8 +354,8 @@ def classify_join_bf(sys: RefinementSystem, phi: PiecewiseBF) -> JoinClass:
     bottom = p_min(sys)
 
     if vals is None:
-        tops = _cylinder_tops_inside(sys, _infinite_image(sys, phi), 4)
-        c = construct_between_no_gap_below(sys, tops[1], tops[3])
+        c = construct_between_no_gap_below(
+            sys, *_cylinder_tops_inside(sys, _infinite_image(sys, phi), 4, (1, 3)))
         if c is None:
             raise _internal("no room between the chosen image values")
         return _reduce_join(sys, phi, c)

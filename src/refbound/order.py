@@ -59,10 +59,26 @@ class RefinementSystem:
     Instances are canonical: the cycle is primitive, and the prefix never
     ends with the digit the cycle would supply at that position anyway.
     Always build through make() so equal sequences compare equal.
+
+    The system is the first key of every memo table, so it hashes as
+    Point does: hash((prefix, cycle)), stored on first use, outside ==,
+    repr and the fields, and not carried by pickles or copies.
     """
 
     prefix: tuple[int, ...]
     cycle: tuple[int, ...]
+
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.prefix, self.cycle))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return RefinementSystem, (self.prefix, self.cycle)
 
     @staticmethod
     def make(prefix: Sequence[int] = (), cycle: Sequence[int] = ()) -> "RefinementSystem":
@@ -364,7 +380,10 @@ def merge_level(x: Point, y: Point) -> int:
         raise ValueError("merge_level needs points in the same orbit")
     w = max(len(x.preamble), len(y.preamble))
     a, b = x.word(w), y.word(w)
-    return next((n for n in range(w, 0, -1) if a[n - 1] != b[n - 1]), 0)
+    if a == b:
+        return 0
+    # the last difference, as an offset from the end of the reversed words
+    return w - next(itertools.compress(itertools.count(), map(operator.ne, a[::-1], b[::-1])))
 
 
 # ---------------------------------------------------------------------------

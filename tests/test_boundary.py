@@ -475,6 +475,19 @@ def _scan_levels(sys, bf, x, y, strictness, depth_cap=None):
     return (Verdict("unknown", stop) if stop < bound else Verdict("no")), data
 
 
+def count_checks(monkeypatch):
+    """Levels of the cylinder checks made from here on, in call order."""
+    calls = []
+    real = boundary.cylinder_within_eta
+
+    def counted(sys, bf, u, v, *rest):
+        calls.append(len(v))
+        return real(sys, bf, u, v, *rest)
+
+    monkeypatch.setattr(boundary, "cylinder_within_eta", counted)
+    return calls
+
+
 def _search_cases(sys, seed):
     rng = random.Random(seed)
     f = random_bf(sys, rng)
@@ -549,6 +562,58 @@ class TestLevelSearch:
         assert len(calls) <= 40
         # the checks read digit words and build no points
         assert points == []
+
+    @pytest.mark.parametrize("a, b, x", [
+        ("1|1111112", "2|12111111112", "21|1211111111112"),  # periods 7, 11, 13
+        ("1|1112", "2|1211112", "21|121111112"),  # periods 4, 7, 9
+    ], ids=["7-11-13", "4-7-9"])
+    def test_plateau_no_takes_the_data_scan_and_two_checks(self, monkeypatch, a, b, x):
+        f = construct_family(BIN, "phi_ab", a=pt(a), b=pt(b))
+        x = pt(x)
+        want, data = _scan_levels(BIN, f, x, x, Strictness.NONSTRICT)
+        assert want.is_no
+        start = merge_level(x, x)
+        calls = count_checks(monkeypatch)
+        assert sigma_member(BIN, f, x, x).is_no
+        # start, the levels up to the data level, and the bound
+        assert len(calls) <= (data - start) + 2
+        assert calls[-1] == boundary._level_bounds(BIN, f, x, x)[1]
+
+    def test_depth_caps_past_the_data_level(self, monkeypatch):
+        # a cap between the data level and the bound is the last level the
+        # search may reach: it passes on a Yes at or below it, and fails
+        # otherwise, leaving the answer unknown after one check there
+        seen = Counter()
+        for sys in SEARCH_SYSTEMS:
+            for seed in range(14, 22):
+                f, _, pairs = _search_cases(sys, seed)
+                for x, y in pairs:
+                    want, data = _scan_levels(sys, f, x, y, Strictness.NONSTRICT)
+                    start = merge_level(x, y)
+                    _, bound = boundary._level_bounds(sys, f, x, y)
+                    bound = max(start, bound)
+                    low = max(start, data) + 1
+                    if want.is_no:
+                        caps = (low, (low + bound) // 2, bound - 1)
+                    elif want.level >= low:
+                        m = want.level
+                        caps = (m - 1, m, m + 1, (low + m) // 2)
+                    else:
+                        continue
+                    for cap in sorted({c for c in caps if low <= c < bound}):
+                        expect, _ = _scan_levels(sys, f, x, y, Strictness.NONSTRICT, cap)
+                        calls = count_checks(monkeypatch)
+                        got = sigma_member(sys, f, x, y, depth_cap=cap)
+                        monkeypatch.undo()
+                        assert got == expect, (x, y, cap)
+                        if got.is_yes:
+                            seen["passes at the cap"] += 1
+                            assert cap in calls and max(calls) == cap
+                        else:
+                            assert got == Verdict("unknown", cap)
+                            seen["fails at the cap"] += 1
+                            assert calls[-1] == cap and len(calls) <= (data - start) + 2
+        assert seen["passes at the cap"] > 0 and seen["fails at the cap"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +966,73 @@ class TestMemo:
         assert [bf_join(BIN, f, g) for f, g in zip(again, again[1:])] == fs[1:20]
 
 
+class TestSearchDataMemo:
+    """Each function's closed pieces and span, built once per (system, function)."""
+
+    @pytest.mark.parametrize("sys", SEARCH_SYSTEMS, ids=format_system)
+    def test_cold_and_warm_tables_give_equal_results(self, sys):
+        def run():
+            out = []
+            for seed in range(14, 18):
+                f, pool, pairs = _search_cases(sys, seed)
+                out += [sigma_member(sys, f, x, y) for x, y in pairs]
+                out += [modification_certificate(sys, f, y) for y in pool]
+                out += [cylinder_within_eta(sys, f, x.word(n), y.word(n), st)
+                        for x, y in pairs[:4] for n in (0, 3, 7) for st in Strictness]
+            return out
+
+        boundary._search_data.cache_clear()
+        cold = run()
+        filled = boundary._search_data.cache_info()
+        assert run() == cold
+        again = boundary._search_data.cache_info()
+        # the warm run builds nothing: every function is a table hit
+        assert again.currsize == filled.currsize and again.misses == filled.misses
+        for f in {_search_cases(sys, seed)[0] for seed in range(14, 18)}:
+            assert boundary._search_data(sys, f) == boundary._search_data.__wrapped__(sys, f)
+
+    def test_span_is_the_scan_reference_span(self):
+        for sys in SEARCH_SYSTEMS:
+            for seed in range(14, 22):
+                f, pool, _ = _search_cases(sys, seed)
+                _, pre, per = boundary._search_data(sys, f)
+                for x in pool:
+                    _, data = _scan_levels(sys, f, x, x, Strictness.NONSTRICT, 0)
+                    pts = [x] + [p for ival, leaf in f.pieces for p in
+                                 (ival.lo, ival.hi) + ((leaf.value,) if isinstance(leaf, Const)
+                                                       else ())]
+                    period = lcm(sys.cycle_len, *(len(p.period) for p in pts))
+                    assert boundary._level_bounds(sys, f, x, x) == (data, data + 2 * period)
+                    assert max(pre, len(x.preamble)) == data
+
+    def test_a_repeat_returns_the_same_object(self):
+        f = strip_bf(pt("2|1"), pt("21|2"))
+        got = boundary._search_data(BIN, f)
+        assert boundary._search_data(BIN, PiecewiseBF(list(f.pieces))) is got
+        # open ends with a gap on their open side are closed onto their
+        # neighbours: [p_min, 2|1) onto 1|2, and (21|2, p_max] onto 22|1
+        assert [piece[:4] for piece in got[0]] == [
+            (LO, False, pt("1|2"), False),
+            (pt("2|1"), False, pt("21|2"), False),
+            (pt("22|1"), False, HI, False)]
+        # the longest preamble, 21|2's, and the period lcm
+        assert got[1:] == (2, 1)
+
+    def test_table_stays_within_its_bound(self):
+        table = boundary._search_data
+        bound = table.cache_info().maxsize
+        assert bound == max(t.cache_info().maxsize for t in MEMO_TABLES)
+        words = list(itertools.islice(level_words(BIN, 13), bound + 300))
+        fs = [const_bf(BIN, max_tail_point(BIN, w), Mode.MODULE) for w in words]
+        y = pt("|2")
+        got = [sigma_member(BIN, f, y, y) for f in fs]
+        assert table.cache_info().currsize <= bound
+        # evicted entries come back equal
+        assert [sigma_member(BIN, f, y, y) for f in fs[:20]] == got[:20]
+        assert [boundary._search_data(BIN, f) for f in fs[:20]] \
+            == [boundary._search_data.__wrapped__(BIN, f) for f in fs[:20]]
+
+
 class TestHashableSpellings:
     def test_list_pieces_match_tuple_pieces(self):
         a, b = pt("1|2"), pt("21|1")
@@ -962,6 +1094,20 @@ class TestStoredHashes:
             object.__setattr__(twin, "_hash", hash(obj) + 1)
             assert twin == obj
             assert copy.deepcopy(obj) == obj and hash(copy.deepcopy(obj)) == hash(obj)
+
+    def test_system_hash_is_stored_outside_eq_repr_and_fields(self):
+        for text in (";2", ";2,3", "12;2,13", "5,13;3,4,7"):
+            sys = parse_system(text)
+            assert hash(sys) == hash((sys.prefix, sys.cycle))
+            assert [f.name for f in dataclasses.fields(sys)] == ["prefix", "cycle"]
+            assert "_hash" not in repr(sys) and vars(sys)["_hash"] == hash(sys)
+            direct = RefinementSystem(sys.prefix, sys.cycle)
+            assert direct == sys and hash(direct) == hash(sys) and direct is not sys
+            for twin in (copy.copy(sys), copy.deepcopy(sys), pickle.loads(pickle.dumps(sys))):
+                assert "_hash" not in vars(twin)
+                assert twin == sys and hash(twin) == hash(sys)
+            object.__setattr__(direct, "_hash", hash(sys) + 1)
+            assert direct == sys and repr(direct) == repr(sys)
 
     def test_pickled_function_rehashes_under_another_hash_seed(self):
         # Mode hashes its name, so a function's hash depends on PYTHONHASHSEED

@@ -1,6 +1,7 @@
 """Ideal-set expressions: membership, boundaries, restriction, sandwich."""
 
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -51,6 +52,7 @@ from refbound.idealsets import (
     OfBFOpen,
     Strip,
     StripPlus,
+    Union,
     boundary_of,
     close_finite_level,
     combine,
@@ -234,6 +236,24 @@ class TestBoundaries:
         for expr in (bad, module(bad)):
             with pytest.raises(TypeError, match=r"^not an ideal-set expression: "):
                 boundary_of(BIN, expr)
+
+    @pytest.mark.parametrize("bad", [[1, 2], {"a": 1}], ids=["list", "dict"])
+    @pytest.mark.parametrize("cls", [Union, Intersection], ids=["union", "intersection"])
+    def test_an_unhashable_part_is_named(self, bad, cls):
+        # refused when the union or intersection is built, not in the memo lookup
+        named = r"^not an ideal-set expression: " + re.escape(repr(bad)) + "$"
+        strip = Strip(self.a, self.b)
+        for build in (lambda: cls([bad]), lambda: cls((strip, bad)),
+                      lambda: cls([strip, cls([bad])])):
+            with pytest.raises(TypeError, match=named):
+                boundary_of(BIN, build())
+        with pytest.raises(TypeError, match=named):
+            boundary_of(BIN, module(cls([bad])))
+        with pytest.raises(TypeError, match=r"^not an ideal-set expression: Module"):
+            cls([module(bad)])
+        # hashable parts that are not expressions are still named where they are read
+        with pytest.raises(TypeError, match=r"^not an ideal-set expression: 5$"):
+            boundary_of(BIN, cls([strip, 5]))
 
     def test_degenerate_strip_blocks_nothing(self):
         st = Strip(self.b, self.a)  # a > b: empty block

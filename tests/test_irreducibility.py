@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from refbound import irreducibility
 from refbound.boundary import (
     Const,
     ID,
@@ -585,13 +586,46 @@ class TestCylinderTopsInside:
             if interval_small_points(sys, ival) is not None:
                 continue
             for count in (1, 4):
-                got = _cylinder_tops_inside(sys, ival, count)
+                got = _cylinder_tops_inside(sys, ival, count, range(count))
                 assert got == ref_tops_inside(sys, ival, count), (ival, count)
+            checked += 1
+
+    @pytest.mark.parametrize("sys", TEN_SYSTEMS[:5], ids=format_system)
+    def test_picked_tops_are_the_scan_tops(self, sys, monkeypatch):
+        # the classifiers read tops 0 and 3 (meet) and 1 and 3 (join), and
+        # only those are built
+        rng = random.Random("cylinder-picks|" + format_system(sys))
+        built = []
+        real = irreducibility.max_tail_point
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(irreducibility, "max_tail_point", counted)
+        checked = 0
+        while checked < 30:
+            x, y = random_interval_ends(sys, rng)
+            if order_compare(x, y) == 0:
+                continue
+            if order_compare(x, y) > 0:
+                x, y = y, x
+            try:
+                ival = interval(sys, x, y, rng.random() < 0.3, rng.random() < 0.3)
+            except EmptyIntervalError:
+                continue
+            if interval_small_points(sys, ival) is not None:
+                continue
+            want = ref_tops_inside(sys, ival, 4)
+            for picks in ((0, 3), (1, 3), (3, 0)):
+                del built[:]
+                got = _cylinder_tops_inside(sys, ival, 4, picks)
+                assert got == [want[i] for i in picks] and len(built) == 2
             checked += 1
 
     def test_level_one_can_suffice(self):
         wide = parse_system(";11")
-        got = _cylinder_tops_inside(wide, full_interval(wide), 4)
+        got = _cylinder_tops_inside(wide, full_interval(wide), 4, range(4))
         assert got == [max_tail_point(wide, (d,)) for d in range(1, 5)]
 
 

@@ -260,7 +260,8 @@ class TestRunSuite:
         runs = [("prop9", BIN, 1, 3), ("def-biconditions", ALT, 0, 1),
                 ("oracle-equivalence", parse_system("3;2"), 0, 1)]
         tables = (_canonical_point, boundary._checked_bf, boundary.bf_minus,
-                  boundary.bf_plus, boundary._lattice, idealsets._boundary)
+                  boundary.bf_plus, boundary._lattice, idealsets._boundary,
+                  boundary._search_data)
         cold = []
         for args in runs:
             for table in tables:

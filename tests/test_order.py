@@ -180,6 +180,19 @@ class TestOrder:
         with pytest.raises(ValueError):
             merge_level(pt(BIN, "|1"), pt(BIN, "|2"))
 
+    def test_merge_level_is_the_last_difference(self):
+        # one digit changed at each position of a 7-digit preamble, the
+        # first and the last included, and equal words
+        base = (1, 2, 1, 1, 2, 2, 1)
+        x = Point(base, (1, 2))
+        assert merge_level(x, x) == merge_level(x, Point(base, (1, 2, 1, 2))) == 0
+        for n in range(1, 8):
+            word = base[:n - 1] + (3 - base[n - 1],) + base[n:]
+            y = Point(word, (1, 2))
+            assert merge_level(x, y) == merge_level(y, x) == n == ref_merge_level(x, y)
+            z = Point(word + (1,), (2, 1))  # a longer preamble, same tail
+            assert merge_level(x, z) == n == ref_merge_level(x, z)
+
 
 class TestGaps:
     def test_gap_pair_in_binary(self):
