@@ -568,24 +568,6 @@ def tailset_is_all(s: RefinementSystem, ts: TailSet) -> bool:
 # restriction to matched-tail blocks
 
 
-def violation_tailset(sys: RefinementSystem, expr,
-                      u: Sequence[int], v: Sequence[int]) -> TailSet:
-    """Tails w whose pair (u w, v w) falls outside the expression.
-
-    The intervals live in the shifted system that governs the tails.
-    For the boundary-function wrappers the answer is all or nothing
-    per block; that is exact for the restriction question, which only
-    asks whether a block is wholly inside.
-    """
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        raise ValueError("restriction words must share a level")
-    shifted = sys.shift(len(u))
-    if expr_mode(expr) is Mode.IDEAL and u > v:
-        return _ts_all(shifted)
-    return _viol(sys, shifted, _unwrap(expr), u, v, expr_mode(expr))
-
-
 def _threshold_up(sys, s, word: Word, a: Point) -> TailSet:
     # {w : a <= word w}
     pa = a.word(len(word))
@@ -615,6 +597,13 @@ def _matched_tail(sys, u: Word, v: Word, a: Point, b: Point) -> Optional[Point]:
 
 
 def _viol(sys, s, expr, u: Word, v: Word, mode) -> TailSet:
+    """Tails w whose pair (u w, v w) falls outside expr.
+
+    The intervals live in s = sys.shift(len(u)), the system that governs
+    the tails.  For the boundary-function wrappers the answer is all or
+    nothing per block; that is exact for the restriction question, which
+    only asks whether a block is wholly inside.
+    """
     if isinstance(expr, Module):
         raise RefinementError("module wrapper must be outermost")
     if isinstance(expr, Empty):
@@ -682,15 +671,23 @@ def _viol_finite(sys, s, units: MatrixUnitSet, u: Word, v: Word) -> TailSet:
 
 
 def restrict_to_level(sys: RefinementSystem, expr, n: int) -> MatrixUnitSet:
-    """Level-n word pairs whose whole matched-tail block lies inside."""
+    """Level-n word pairs whose whole matched-tail block lies inside.
+
+    The block of (u, v) is every pair (u w, v w) with w a tail in the
+    shifted system sys.shift(n); it lies inside when _viol finds no tail
+    that falls outside.  The shifted system, the mode and the unwrapped
+    expression are resolved once per level, then _viol runs once per
+    block; in ideal mode a pair with u > v is never inside.
+    """
     mode = expr_mode(expr)
     words = _checked_words(sys, n)
+    shifted, inner = sys.shift(n), _unwrap(expr)
     out = set()
     for u in words:
         for v in words:
             if mode is Mode.IDEAL and u > v:
                 continue
-            if not violation_tailset(sys, expr, u, v):
+            if not _viol(sys, shifted, inner, u, v, mode):
                 out.add((u, v))
     return MatrixUnitSet(n, frozenset(out), mode)
 

@@ -207,16 +207,16 @@ def random_units(sys: RefinementSystem, model: FiniteModel, rng,
 def _random_point(sys, rng, max_preamble=4, max_period=2) -> Point:
     head = sys.prefix_len + rng.randrange(0, max_preamble + 1)
     cycles = rng.randrange(1, max_period + 1)
-    pre = tuple(rng.randrange(1, sys.k_at(i + 1) + 1) for i in range(head))
-    per = tuple(rng.randrange(1, sys.k_at(head + j + 1) + 1)
-                for j in range(cycles * sys.cycle_len))
+    ks = sys.k_word(head + cycles * sys.cycle_len)
+    pre = tuple(rng.randrange(1, k + 1) for k in ks[:head])
+    per = tuple(rng.randrange(1, k + 1) for k in ks[head:])
     return point(sys, pre, per)
 
 
 def _random_mate(sys, rng, x: Point) -> Point:
     """A point in the orbit of x: same tail behind a fresh prefix."""
-    n = max(1, len(x.preamble))
-    w = tuple(rng.randrange(1, sys.k_at(i + 1) + 1) for i in range(n))
+    ks = sys.k_word(max(1, len(x.preamble)))
+    w = tuple(rng.randrange(1, k + 1) for k in ks)
     return replace_prefix(sys, x, w)
 
 
@@ -498,8 +498,9 @@ class _Recorder:
         """Count one sample and record a violation when ok is false.
 
         witness is a string, or a function of no arguments that returns
-        one; a function is called only on failure, so the suites build
-        no witness text for checks that hold.
+        one; a function is called only on failure.  The suites pass every
+        formatted witness (format_bf, describe_expr, _wp) as such a
+        function, so a check that holds builds no witness text.
         """
         idx = self.samples
         self.samples += 1
@@ -534,16 +535,16 @@ def _suite_prop1(sys, rng, budget, rec):
     # every well formed expression closes to a lawful boundary function
     for _ in range(4 * budget):
         expr = random_ideal_expr(sys, rng, 2)
-        wit = describe_expr(sys, expr)
+        wit = lambda: describe_expr(sys, expr)
         shape = validate_ideal_expr(sys, expr)
         rec.check(not shape, "generated expression is not well formed",
-                  wit + "; " + ", ".join(v.code for v in shape))
+                  lambda: wit() + "; " + ", ".join(v.code for v in shape))
         if shape:
             continue
         phi = boundary_of(sys, expr)
         bad = validate_bf(sys, phi)
         rec.check(not bad, "set boundary breaks the function laws",
-                  wit + "; " + ", ".join(v.code for v in bad))
+                  lambda: wit() + "; " + ", ".join(v.code for v in bad))
         rec.check(eval_bf(sys, phi, p_min(sys)) == p_min(sys),
                   "the boundary must fix the bottom point", wit)
 
@@ -625,7 +626,7 @@ def _end_points_and_gap_mates(sys, bf) -> list[Point]:
 def _suite_prop4_5(sys, rng, budget, rec):
     for _ in range(2 * budget):
         phi = random_bf(sys, rng)
-        wit = format_bf(sys, phi)
+        wit = lambda: format_bf(sys, phi)
         pts = _point_batch(sys, rng, 8)
         rec.check(not validate_bf(sys, phi),
                   "generated function must satisfy the laws", wit)
@@ -634,25 +635,25 @@ def _suite_prop4_5(sys, rng, budget, rec):
             + _end_points_and_gap_mates(sys, norm)
         rec.check(all(eval_bf(sys, phi, y) == eval_bf(sys, norm, y) for y in probes),
                   "normalization must not move a valid function", wit)
-        for y in pts:
-            v = eval_bf(sys, phi, y)
+        vals = [eval_bf(sys, phi, y) for y in pts]
+        for y, v in zip(pts, vals):
             rec.check(le(v, y), "order-mode values stay below the identity",
                       lambda: _wp(sys, y=y, value=v))
             rec.check(not has_gap_below(sys, v) or p_test(v, y),
                       "a value with a gap below must link to its argument",
                       lambda: _wp(sys, y=y, value=v))
-        for x in pts:
-            for y in pts:
+        for x, fx in zip(pts, vals):
+            for y, fy in zip(pts, vals):
                 if le(x, y):
-                    rec.check(le(eval_bf(sys, phi, x), eval_bf(sys, phi, y)),
+                    rec.check(le(fx, fy),
                               "the function must be monotone",
-                              lambda: _wp(sys, x=x, y=y) + "; " + wit)
+                              lambda: _wp(sys, x=x, y=y) + "; " + wit())
 
 
 def _suite_prop6(sys, rng, budget, rec):
     for _ in range(2 * budget):
         phi = random_bf(sys, rng)
-        wit = format_bf(sys, phi)
+        wit = lambda: format_bf(sys, phi)
         rec.check(boundary_of(sys, OfBFClosed(phi)) == phi,
                   "the neighborhood hull keeps its function as boundary", wit)
         rec.check(boundary_of(sys, OfBFOpen(phi)) == bf_minus(sys, phi),
@@ -662,41 +663,41 @@ def _suite_prop6(sys, rng, budget, rec):
             strict = lt(x, eval_bf(sys, phi, y))
             rec.check(member(sys, OfBFOpen(phi), x, y).is_yes == strict,
                       "strict sub-level membership is the strict comparison",
-                      lambda: _wp(sys, x=x, y=y) + "; " + wit)
+                      lambda: _wp(sys, x=x, y=y) + "; " + wit())
             if strict:
                 rec.check(sigma_member(sys, phi, x, y).is_yes,
                           "the open set sits inside the hull",
-                          lambda: _wp(sys, x=x, y=y) + "; " + wit)
+                          lambda: _wp(sys, x=x, y=y) + "; " + wit())
 
 
 def _suite_prop7(sys, rng, budget, rec):
     for _ in range(2 * budget):
         expr = random_ideal_expr(sys, rng, 2, closed_only=True)
-        wit = describe_expr(sys, expr)
+        wit = lambda: describe_expr(sys, expr)
         phi = boundary_of(sys, expr)
         rec.check(sandwich_check(sys, expr, phi).is_yes,
                   "a set must squeeze around its own boundary", wit)
         for _ in range(5):
             x, y = _random_linked_pair(sys, rng)
+            inside = member(sys, expr, x, y).is_yes
             if lt(x, eval_bf(sys, phi, y)):
-                rec.check(member(sys, expr, x, y).is_yes,
-                          "strict sub-level pairs lie inside the set",
-                          lambda: _wp(sys, x=x, y=y) + "; " + wit)
-            if member(sys, expr, x, y).is_yes:
+                rec.check(inside, "strict sub-level pairs lie inside the set",
+                          lambda: _wp(sys, x=x, y=y) + "; " + wit())
+            if inside:
                 rec.check(not sigma_member(sys, phi, x, y).is_no,
                           "members stay inside the neighborhood hull",
-                          lambda: _wp(sys, x=x, y=y) + "; " + wit)
+                          lambda: _wp(sys, x=x, y=y) + "; " + wit())
         for y in _point_batch(sys, rng, 6):
             if in_L_phi(sys, phi, y).is_yes:
                 rec.check(member(sys, expr, eval_bf(sys, phi, y), y).is_yes,
                           "attained gap values on the graph lie inside the set",
-                          lambda: _wp(sys, y=y) + "; " + wit)
+                          lambda: _wp(sys, y=y) + "; " + wit())
 
 
 def _suite_lemma8(sys, rng, budget, rec):
     for _ in range(2 * budget):
         phi = random_bf(sys, rng)
-        wit = format_bf(sys, phi)
+        wit = lambda: format_bf(sys, phi)
         low, high = bf_minus(sys, phi), bf_plus(sys, phi)
         rec.check(not validate_bf(sys, low),
                   "the left companion stays lawful", wit)
@@ -713,7 +714,7 @@ def _suite_lemma8(sys, rng, budget, rec):
 def _suite_prop9(sys, rng, budget, rec):
     for _ in range(2 * budget):
         phi = random_bf(sys, rng)
-        wit = format_bf(sys, phi)
+        wit = lambda: format_bf(sys, phi)
         low, high = bf_minus(sys, phi), bf_plus(sys, phi)
         rec.check(boundary_of(sys, OfBFOpen(phi)) == boundary_of(sys, OfBFOpen(low)),
                   "a function and its left companion close identically", wit)
@@ -722,17 +723,17 @@ def _suite_prop9(sys, rng, budget, rec):
             rec.check(member(sys, OfBFOpen(phi), x, y)
                       == member(sys, OfBFOpen(low), x, y),
                       "strict sub-level membership sees only the left companion",
-                      lambda: _wp(sys, x=x, y=y) + "; " + wit)
+                      lambda: _wp(sys, x=x, y=y) + "; " + wit())
             rec.check(sigma_member(sys, phi, x, y)
                       == sigma_member(sys, high, x, y),
                       "hull membership sees only the right companion",
-                      lambda: _wp(sys, x=x, y=y) + "; " + wit)
+                      lambda: _wp(sys, x=x, y=y) + "; " + wit())
 
 
 def _suite_lemma10(sys, rng, budget, rec):
     for _ in range(3 * budget):
         phi = random_bf(sys, rng)
-        wit = format_bf(sys, phi)
+        wit = lambda: format_bf(sys, phi)
         low, high = bf_minus(sys, phi), bf_plus(sys, phi)
         rec.check(bf_minus(sys, high) == low,
                   "lowering after raising recovers the left companion", wit)
@@ -744,7 +745,7 @@ def _suite_prop11(sys, rng, budget, rec):
     for _ in range(2 * budget):
         f = random_bf(sys, rng)
         g = random_bf(sys, rng)
-        wit = format_bf(sys, f) + " | " + format_bf(sys, g)
+        wit = lambda: format_bf(sys, f) + " | " + format_bf(sys, g)
         rec.check(bf_equiv(sys, f, g) == bf_between(sys, f, g),
                   "equivalence and the companion bracket agree", wit)
         rec.check(bf_equiv(sys, f, g) == bf_equiv(sys, g, f),
@@ -754,7 +755,7 @@ def _suite_prop11(sys, rng, budget, rec):
         blend = bf_join(sys, bf_minus(sys, f), inner)
         rec.check(bf_equiv(sys, f, blend) and _lawful(sys, inner, blend),
                   "a blend inside the bracket is lawful and equivalent to its source",
-                  wit + " | " + format_bf(sys, eta))
+                  lambda: wit() + " | " + format_bf(sys, eta))
 
 
 def _suite_lemma12(sys, rng, budget, rec):
@@ -762,7 +763,7 @@ def _suite_lemma12(sys, rng, budget, rec):
         e1 = random_ideal_expr(sys, rng, 1, closed_only=True)
         e2 = random_ideal_expr(sys, rng, 1, closed_only=True)
         f1, f2 = boundary_of(sys, e1), boundary_of(sys, e2)
-        wit = describe_expr(sys, e1) + " | " + describe_expr(sys, e2)
+        wit = lambda: describe_expr(sys, e1) + " | " + describe_expr(sys, e2)
         joined, met = bf_join(sys, f1, f2), bf_meet(sys, f1, f2)
         rec.check(boundary_of(sys, union(e1, e2)) == joined and _lawful(sys, joined),
                   "a union closes to the lawful join of the boundaries", wit)
@@ -799,12 +800,12 @@ _MEET_FORMS = {"identity_form": {"identity"}, "phi_ab": {"phi_ab", "minimal"},
 def _suite_prop13(sys, rng, budget, rec):
     for _ in range(3 * budget):
         phi = random_bf(sys, rng)
-        wit = format_bf(sys, phi)
+        wit = lambda: format_bf(sys, phi)
         try:
             cls = classify_meet_bf(sys, phi)
         except RefinementError as err:
             rec.check(False, "meet classification self-check failed",
-                      wit + "; " + str(err))
+                      lambda: wit() + "; " + str(err))
             continue
         if cls.kind == "reducible":
             w1, w2 = cls.witnesses
@@ -814,12 +815,12 @@ def _suite_prop13(sys, rng, budget, rec):
         else:
             rec.check(bf_form(sys, phi).tag in _MEET_FORMS[cls.kind],
                       "an irreducible function must carry its catalog shape",
-                      wit + "; kind=" + cls.kind)
+                      lambda: wit() + "; kind=" + cls.kind)
     for _ in range(2 * budget):
         a, b = _random_linked_pair(sys, rng)
         for expr in (Strip(a, b), StripPlus(a, b)):
             v = classify_meet_ideal(sys, expr)
-            wit = describe_expr(sys, expr)
+            wit = lambda: describe_expr(sys, expr)
             rec.check(v.irreducible is not None,
                       "catalog sets must get a verdict", wit)
             rec.check(v.irreducible == (not v.witnesses),
@@ -838,12 +839,12 @@ def _suite_prop14(sys, rng, budget, rec):
               "the minimal function is join-irreducible", "const bottom")
     for _ in range(3 * budget):
         phi = random_bf(sys, rng)
-        wit = format_bf(sys, phi)
+        wit = lambda: format_bf(sys, phi)
         try:
             cls = classify_join_bf(sys, phi)
         except RefinementError as err:
             rec.check(False, "join classification self-check failed",
-                      wit + "; " + str(err))
+                      lambda: wit() + "; " + str(err))
             continue
         if cls.kind == "reducible":
             w1, w2 = cls.witnesses
@@ -855,7 +856,7 @@ def _suite_prop14(sys, rng, budget, rec):
             allowed = {"minimal_form": {"minimal"}, "phi_at": {"phi_at"}}
             rec.check(tag in allowed[cls.kind],
                       "an irreducible function must carry its catalog shape",
-                      wit + "; kind=" + cls.kind)
+                      lambda: wit() + "; kind=" + cls.kind)
 
 
 def _suite_prop15(sys, rng, budget, rec):
@@ -864,7 +865,7 @@ def _suite_prop15(sys, rng, budget, rec):
         if lt(t, a):
             a, t = t, a
         expr = Corner(a, t)
-        wit = describe_expr(sys, expr)
+        wit = lambda: describe_expr(sys, expr)
         v = classify_join_ideal(sys, expr)
         rec.check(v.irreducible is not None,
                   "corners must get a verdict", wit)
@@ -881,59 +882,59 @@ def _suite_prop15(sys, rng, budget, rec):
                 split = any(member(sys, w, x, y).is_yes for w in v.witnesses)
                 rec.check(got == split,
                           "a split corner must be the union of its witnesses",
-                          lambda: wit + "; " + _wp(sys, x=x, y=y))
+                          lambda: wit() + "; " + _wp(sys, x=x, y=y))
     if format_system(sys) == ";2":
         a = parse_point(sys, "2|1")
         t = parse_point(sys, "21|2")
         v = classify_join_ideal(sys, Corner(a, t))
         rec.check(v.irreducible is False and len(v.witnesses) == 2,
-                  "the exceptional corner must split", describe_expr(
-                      sys, Corner(a, t)))
+                  "the exceptional corner must split",
+                  lambda: describe_expr(sys, Corner(a, t)))
 
 
 def _suite_cocycle(sys, rng, budget, rec):
     rec.check(btilde(sys, p_min(sys)) == 0 and btilde(sys, p_max(sys)) == 1,
               "the expansion value must run from 0 to 1", "")
     pts = _point_batch(sys, rng, 6 + 2 * budget)
-    for x in pts:
-        for y in pts:
+    values = [btilde(sys, x) for x in pts]
+    for x, bx in zip(pts, values):
+        for y, by in zip(pts, values):
             if le(x, y):
-                rec.check(btilde(sys, x) <= btilde(sys, y),
-                          "the expansion value must be monotone",
+                rec.check(bx <= by, "the expansion value must be monotone",
                           lambda: _wp(sys, x=x, y=y))
-            if x != y and btilde(sys, x) == btilde(sys, y):
+            if x != y and bx == by:
                 mates = ((has_gap_above(sys, x) and suc(sys, x) == y)
                          or (has_gap_above(sys, y) and suc(sys, y) == x))
                 rec.check(mates,
                           "only gap pairs may share an expansion value",
                           lambda: _wp(sys, x=x, y=y))
+    gaps = [gap_point(sys, n) for n in range(1, 11)]
     for x in pts:
         for y in pts:
             if le(x, y):
-                for n in range(1, 11):
-                    g = gap_point(sys, n)
+                for g in gaps:
                     rec.check(not lt(g, x) or lt(g, y),
                               "gap terms charged below x stay charged below y",
                               lambda: _wp(sys, g=g, x=x, y=y))
                 break
     for _ in range(4 * budget):
         x, y = _random_linked_pair(sys, rng)
-        rec.check(ctilde(sys, x, y) == btilde(sys, y) - btilde(sys, x),
+        c = ctilde(sys, x, y)
+        rec.check(c == btilde(sys, y) - btilde(sys, x),
                   "the cocycle must telescope through expansion values",
                   lambda: _wp(sys, x=x, y=y))
-        rec.check((ctilde(sys, x, y) >= 0) == le(x, y),
+        rec.check((c >= 0) == le(x, y),
                   "a nonnegative cocycle must detect the order",
                   lambda: _wp(sys, x=x, y=y))
         rec.check((ctilde(sys, y, x) >= 0) == le(y, x),
                   "a nonnegative cocycle must detect the order",
                   lambda: _wp(sys, x=y, y=x))
         z = _random_mate(sys, rng, x)
-        rec.check(ctilde(sys, x, z)
-                  == ctilde(sys, x, y) + ctilde(sys, y, z),
+        rec.check(ctilde(sys, x, z) == c + ctilde(sys, y, z),
                   "the cocycle must be additive along an orbit",
                   lambda: _wp(sys, x=x, y=y, z=z))
-    for n in range(1, 9):
-        rec.check(gap_index(sys, gap_point(sys, n)) == n,
+    for n, g in enumerate(gaps[:8], 1):
+        rec.check(gap_index(sys, g) == n,
                   "the gap enumeration must invert its index", f"n={n}")
     for x in pts[:4 + budget]:
         lo1, hi1 = b_approx(sys, x, Fraction(1, 8))
@@ -951,7 +952,7 @@ def _suite_cocycle(sys, rng, budget, rec):
                   "pinned expansion value for the top point", "|2")
         rec.check(btilde(sys, parse_point(sys, "|12")) == Fraction(1, 3),
                   "pinned expansion value for the period-two point", "|12")
-        rec.check(gap_point(sys, 1) == parse_point(sys, "1|2"),
+        rec.check(gaps[0] == parse_point(sys, "1|2"),
                   "pinned first gap point", "1|2")
 
 
@@ -995,10 +996,10 @@ def _suite_module_set_mode(sys, rng, budget, rec):
               "the full module holds reversed orbit pairs", lambda: _wp(sys, x=y, y=x))
     for _ in range(2 * budget):
         wrapped = random_module_expr(sys, rng, 1)
-        wit = describe_expr(sys, wrapped)
+        wit = lambda: describe_expr(sys, wrapped)
         shape = validate_ideal_expr(sys, wrapped)
         rec.check(not shape, "module expression must be well formed",
-                  wit + "; " + ", ".join(v.code for v in shape))
+                  lambda: wit() + "; " + ", ".join(v.code for v in shape))
         if shape:
             continue
         phi_m = boundary_of(sys, wrapped)
@@ -1007,13 +1008,13 @@ def _suite_module_set_mode(sys, rng, budget, rec):
     for _ in range(2 * budget):
         # catalog shapes are well formed in both modes: compare directly
         inner = _random_catalog_expr(sys, rng)
-        wit = describe_expr(sys, inner)
+        wit = lambda: describe_expr(sys, inner)
         phi_i = boundary_of(sys, inner)
         phi_m = boundary_of(sys, module(inner))
         for z in _point_batch(sys, rng, 5):
             rec.check(le(eval_bf(sys, phi_i, z), eval_bf(sys, phi_m, z)),
                       "widening to a module can only raise the boundary",
-                      lambda: _wp(sys, y=z) + "; " + wit)
+                      lambda: _wp(sys, y=z) + "; " + wit())
     lvl = 2 if word_count(sys, 2) <= 16 else 1
     if word_count(sys, lvl) <= 30:
         model = build_finite_model(sys, lvl)

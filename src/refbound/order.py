@@ -158,6 +158,10 @@ class RefinementSystem:
         return point(self, self.prefix, self.cycle)
 
     @cached_property
+    def _full_interval(self) -> "OrderInterval":
+        return OrderInterval(self._p_min, self._p_max)
+
+    @cached_property
     def _rotations(self) -> tuple[tuple[int, ...], ...]:
         # _rotations[r] is the cycle started r places in
         return tuple(self.cycle[r:] + self.cycle[:r] for r in range(self.cycle_len))
@@ -541,7 +545,7 @@ def interval(sys: RefinementSystem, lo: Point, hi: Point,
 
 
 def full_interval(sys: RefinementSystem) -> OrderInterval:
-    return OrderInterval(p_min(sys), p_max(sys))
+    return sys._full_interval
 
 
 def interval_contains(ival: OrderInterval, x: Point) -> bool:
@@ -727,8 +731,13 @@ def parse_point(sys: RefinementSystem, text: str) -> Point:
     head, sep, tail = text.strip().partition("|")
     if not sep:
         raise ValueError(f"point literal needs a '|' between preamble and period: {text!r}")
-    return point(sys, _digits(sys, head, "point literal", text),
-                 _digits(sys, tail, "point literal", text))
+    pre = _digits(sys, head, "point literal", text)
+    per = _digits(sys, tail, "point literal", text)
+    try:
+        return point(sys, pre, per)
+    except (RefinementError, ValueError) as err:
+        # same class, but the message names the literal, as _ints does
+        raise type(err)(f"point literal {text!r}: {err}") from None
 
 
 def format_system(sys: RefinementSystem) -> str:
@@ -743,4 +752,8 @@ def parse_system(text: str) -> RefinementSystem:
     def ints(s: str) -> tuple[int, ...]:
         s = s.strip()
         return _ints(s.split(","), "system literal", text) if s else ()
-    return RefinementSystem.make(ints(head), ints(tail))
+    pre, cyc = ints(head), ints(tail)
+    try:
+        return RefinementSystem.make(pre, cyc)
+    except ValueError as err:
+        raise ValueError(f"system literal {text!r}: {err}") from None

@@ -325,11 +325,18 @@ class TestCLI:
         (["fixture", "trivial", "--run", "--system", "3,y;2"],
          "system literal '3,y;2': 'y' is not a number"),
         (["run", "SCENARIO"], "line 2, column 11: point literal '|x': 'x' is not a number"),
-    ], ids=["suite", "fixture", "run"])
+        (["suite", "prop1", "--system", ";2", "--system", ";1"],
+         "--system: system literal ';1': all multiplicities must be >= 2"),
+        (["run", "DIGIT"],
+         "line 2, column 11: point literal '|3': digit 3 at position 1 outside 1..2"),
+    ], ids=["suite", "fixture", "run", "suite-value", "run-digit"])
     def test_bad_literal_is_named(self, tmp_path, capsys, argv, message):
         scenario = tmp_path / "bad.scn"
         scenario.write_text("system ;2\npoint a = |x\n")
-        argv = [str(scenario) if a == "SCENARIO" else a for a in argv]
+        digit = tmp_path / "digit.scn"
+        digit.write_text("system ;2\npoint a = |3\n")
+        files = {"SCENARIO": scenario, "DIGIT": digit}
+        argv = [str(files[a]) if a in files else a for a in argv]
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert err == f"error: {message}\n"

@@ -53,6 +53,7 @@ from refbound.idealsets import (
     Strip,
     StripPlus,
     Union,
+    _viol,
     boundary_of,
     close_finite_level,
     combine,
@@ -69,7 +70,6 @@ from refbound.idealsets import (
     tailset_union,
     union,
     validate_ideal_expr,
-    violation_tailset,
 )
 from refbound.oracle import random_ideal_expr, random_module_expr
 
@@ -428,6 +428,11 @@ class TestTailSets:
         assert in_tailset(got, parse_point(self.S, "|2"))
 
 
+def viol(expr, u, v):
+    """Violating tails of the block (u, v) of an order-mode expression on BIN."""
+    return _viol(BIN, BIN.shift(len(u)), expr, u, v, Mode.IDEAL)
+
+
 class TestRestriction:
     a = pt("|12")
     b = pt("22|12")
@@ -436,18 +441,21 @@ class TestRestriction:
         # inside the blocked box exactly when both tails equal |21
         st = Strip(self.a, self.b)
         w = parse_point(BIN.shift(1), "|21")
-        got = violation_tailset(BIN, st, (1,), (2,))
+        got = viol(st, (1,), (2,))
         assert got == (interval(BIN.shift(1), w, w),)
-        assert violation_tailset(BIN, st, (1,), (1,)) != ()
-        assert violation_tailset(BIN, st, (2,), (2,)) != ()
+        assert viol(st, (1,), (1,)) != ()
+        assert viol(st, (2,), (2,)) != ()
 
     def test_strip_plus_heals_the_matched_tail(self):
         sp = StripPlus(self.a, self.b)
-        assert violation_tailset(BIN, sp, (1,), (2,)) == ()
+        assert viol(sp, (1,), (2,)) == ()
 
     def test_reversed_words_always_violate(self):
-        got = violation_tailset(BIN, Full(), (2,), (1,))
-        assert tailset_is_all(BIN.shift(1), got)
+        # an order-mode block with u > v is never inside, even for Full
+        for n in (1, 2):
+            for expr in (Full(), StripPlus(self.a, self.b)):
+                got = restrict_to_level(BIN, expr, n).pairs
+                assert got and all(u <= v for u, v in got)
 
     def test_restrict_strip_is_empty_at_level_one(self):
         assert restrict_to_level(BIN, Strip(self.a, self.b), 1).pairs == frozenset()
@@ -526,11 +534,11 @@ class TestRestriction:
     def test_members_sit_outside_their_violation_tails(self):
         sp = StripPlus(self.a, self.b)
         for u, v in (((1,), (2,)), ((1,), (1,)), ((2,), (2,))):
-            viol = violation_tailset(BIN, sp, u, v)
+            tails = viol(sp, u, v)
             for w_text in ("|1", "|12", "|21", "|2", "12|21"):
                 w = parse_point(BIN.shift(1), w_text)
                 x, y = prepend(BIN, u, w), prepend(BIN, v, w)
-                expected = not in_tailset(viol, w)
+                expected = not in_tailset(tails, w)
                 assert member(BIN, sp, x, y).is_yes == expected
 
 

@@ -386,6 +386,23 @@ class TestLiterals:
             parse(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("parse,text,error,message", [
+        (parse_system, ";1", ValueError,
+         "system literal ';1': all multiplicities must be >= 2"),
+        (parse_system, "2; ", ValueError, "system literal '2; ': cycle must be nonempty"),
+        (lambda text: parse_point(BIN, text), "|3", DigitRangeError,
+         "point literal '|3': digit 3 at position 1 outside 1..2"),
+        (lambda text: parse_point(BIN, text), "1|", ValueError,
+         "point literal '1|': period must be nonempty"),
+        (lambda text: parse_point(parse_system(";2,3"), text), "|2", MisalignedPeriodError,
+         "point literal '|2': period length 1 is not a multiple of cycle length 2"),
+    ])
+    def test_bad_values_are_named(self, parse, text, error, message):
+        # the literal is named and the exception class is kept
+        with pytest.raises(error) as err:
+            parse(text)
+        assert type(err.value) is error and str(err.value) == message
+
 
 # ---------------------------------------------------------------------------
 # digit-by-digit reference for the primitives that read digit words
