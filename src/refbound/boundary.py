@@ -695,39 +695,28 @@ def bf_plus(sys: RefinementSystem, f: PiecewiseBF) -> PiecewiseBF:
     attained here.  Memoized like bf_minus.
     """
     out: list[Piece] = []
+
+    def split_top(ival, leaf, top_value):
+        # the piece keeps an open top; its closed top gets its own leaf
+        try:
+            out.append((interval(sys, ival.lo, ival.hi, ival.lo_open, True), leaf))
+        except EmptyIntervalError:
+            pass
+        out.append((interval(sys, ival.hi, ival.hi), Const(top_value)))
+
     for ival, leaf in f.pieces:
         if isinstance(leaf, Identity):
             out.append((ival, leaf))
-            continue
-        if isinstance(leaf, IdentityMinus):
-            top_stays = not ival.hi_open and has_gap_below(sys, ival.hi) \
-                and not is_point_of_modification(sys, f, ival.hi)
-            if not top_stays:
+        elif isinstance(leaf, IdentityMinus):
+            if not ival.hi_open and has_gap_below(sys, ival.hi) \
+                    and not is_point_of_modification(sys, f, ival.hi):
+                split_top(ival, ID, pred(sys, ival.hi))
+            else:
                 out.append((ival, ID))
-                continue
-            try:
-                head = interval(sys, ival.lo, ival.hi, ival.lo_open, True)
-            except EmptyIntervalError:
-                head = None
-            if head is not None:
-                out.append((head, ID))
-            out.append((interval(sys, ival.hi, ival.hi), Const(pred(sys, ival.hi))))
-            continue
-        c = leaf.value
-        split = False
-        if has_gap_above(sys, c) and not ival.hi_open:
-            top = level_set_max(sys, f, c)
-            if top == (ival.hi, True) and has_gap_below(sys, ival.hi) \
-                    and is_point_of_modification(sys, f, ival.hi):
-                split = True
-        if split:
-            try:
-                head = interval(sys, ival.lo, ival.hi, ival.lo_open, True)
-            except EmptyIntervalError:
-                head = None
-            if head is not None:
-                out.append((head, leaf))
-            out.append((interval(sys, ival.hi, ival.hi), Const(suc(sys, c))))
+        elif has_gap_above(sys, leaf.value) and not ival.hi_open \
+                and level_set_max(sys, f, leaf.value) == (ival.hi, True) \
+                and has_gap_below(sys, ival.hi) and is_point_of_modification(sys, f, ival.hi):
+            split_top(ival, leaf, suc(sys, leaf.value))
         else:
             out.append((ival, leaf))
     return normalize_bf(sys, PiecewiseBF(tuple(out), f.mode))

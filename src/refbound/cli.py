@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys as _sys
 
 from .oracle import SUITE_NAMES, run_suite
@@ -196,10 +197,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ScenarioError as err:
+        code = _COMMANDS[args.command](args)
+        _sys.stdout.flush()
+        return code
+    except (ScenarioError, ValueError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return 2
+    except BrokenPipeError:
+        # the reader is gone (`| head`): send what is still buffered to
+        # the null device, so the flush at exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return 1

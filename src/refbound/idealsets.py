@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .boundary import (
     Const,
@@ -247,17 +247,6 @@ def union(*parts) -> Union:
 
 def intersection(*parts) -> Intersection:
     return Intersection(tuple(parts))
-
-
-def combine(op: str, parts: Sequence) -> object:
-    for part in parts:
-        if isinstance(part, Module):
-            raise RefinementError("wrap the combination, not its parts")
-    if op == "union":
-        return Union(tuple(parts))
-    if op == "intersection":
-        return Intersection(tuple(parts))
-    raise ValueError(f"unknown combination: {op!r}")
 
 
 def module(expr) -> Module:

@@ -40,50 +40,14 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .order import (
-    RefinementError,
-    format_point,
-    parse_digits,
-    parse_point,
-    parse_system,
-)
-from .boundary import (
-    bf_eq,
-    bf_equiv,
-    bf_join,
-    bf_meet,
-    bf_minus,
-    bf_plus,
-    const_bf,
-    eval_bf,
-    format_bf,
-    identity_bf,
-)
-from .idealsets import (
-    Corner,
-    Empty,
-    FiniteLevel,
-    Full,
-    OfBFClosed,
-    OfBFOpen,
-    Strip,
-    StripPlus,
-    boundary_of,
-    close_finite_level,
-    intersection,
-    member,
-    module,
-    sandwich_check,
-    union,
-    validate_ideal_expr,
-)
-from .irreducibility import (
-    classify_join_bf,
-    classify_join_ideal,
-    classify_meet_bf,
-    classify_meet_ideal,
-    construct_family,
-)
+from .order import RefinementError, format_point, parse_digits, parse_point, parse_system
+from .boundary import (bf_eq, bf_equiv, bf_join, bf_meet, bf_minus, bf_plus, const_bf,
+                       eval_bf, format_bf, identity_bf)
+from .idealsets import (Corner, Empty, FiniteLevel, Full, OfBFClosed, OfBFOpen, Strip,
+                        StripPlus, boundary_of, close_finite_level, intersection, member,
+                        module, sandwich_check, union, validate_ideal_expr)
+from .irreducibility import (classify_join_bf, classify_join_ideal, classify_meet_bf,
+                             classify_meet_ideal, construct_family)
 from .oracle import SUITE_NAMES, describe_expr, run_suite
 
 
@@ -126,19 +90,65 @@ class ScenarioOutcome:
 
 
 _WORD_PAIR = re.compile(r"^\(([0-9.]+),([0-9.]+)\)$")
-# keyword -> number of arguments it takes; union, intersection and
-# finite take any number
-_IDEAL_ARGS = {"empty": 0, "full": 0, "strip": 2, "strip_plus": 2, "corner": 2,
-               "module": 1, "open": 1, "hull": 1}
-_BF_ARGS = {"identity": 0, "const": 1, "boundary": 1, "minus": 1, "plus": 1,
-            "join": 2, "meet": 2, "family": 3}
-_VERB_ARGS = {"eval": 2, "member": 3, "boundary": 1, "minus": 1, "plus": 1,
-              "lattice": 3, "classify": 2, "equiv": 2, "sandwich": 2, "suite": 1,
-              "paper-examples": 1}
-_VERDICTS = ("yes", "no", "unknown")
-# classification mode -> the kinds its verdict can take
-_BF_KINDS = {"meet": ("identity_form", "phi_ab", "psi_paab", "reducible"),
-             "join": ("minimal_form", "phi_at", "reducible")}
+
+# argument kinds: what a missing one is called, and the engine method that
+# resolves its token (None hands the token and its column to a branch)
+_POINT = ("a point", "_point")
+_IDEAL = ("an ideal name", "_ideal")
+_BF = ("a function name", "_bf")
+_SET_BF = ("a boundary function name", "_bf")
+_SUITE = ("a suite name", "_suite")
+
+# ideal constructor -> (argument kinds, what builds the expression);
+# union, intersection and finite take any number of arguments and have
+# branches of their own
+_IDEALS = {
+    "empty": ((), Empty), "full": ((), Full),
+    "strip": ((_POINT, _POINT), Strip),
+    "strip_plus": ((_POINT, _POINT), StripPlus),
+    "corner": ((_POINT, _POINT), Corner),
+    "module": ((_IDEAL,), module),
+    "open": ((_SET_BF,), OfBFOpen), "hull": ((_SET_BF,), OfBFClosed),
+}
+# function constructor -> (argument kinds, library call on the system and
+# the arguments); family, with no call, has a branch of its own
+_BFS = {
+    "identity": ((), identity_bf),
+    "const": ((_POINT,), const_bf),
+    "boundary": ((_IDEAL,), boundary_of),
+    "minus": ((_BF,), bf_minus), "plus": ((_BF,), bf_plus),
+    "join": ((_BF, _BF), bf_join), "meet": ((_BF, _BF), bf_meet),
+    "family": ((("a family name", None), _POINT, _POINT), None),
+}
+# classification mode -> (argument kind, library call, the answers `expect`
+# may name); a function's answer is its verdict's kind, a set's says whether
+# it is irreducible, reducible or neither
+_SET_ANSWERS = ("irreducible", "reducible", "none")
+_CLASSIFY = {
+    "meet": (_BF, classify_meet_bf, ("identity_form", "phi_ab", "psi_paab", "reducible")),
+    "join": (_BF, classify_join_bf, ("minimal_form", "phi_at", "reducible")),
+    "meet-set": (_IDEAL, classify_meet_ideal, _SET_ANSWERS),
+    "join-set": (_IDEAL, classify_join_ideal, _SET_ANSWERS),
+}
+# the words an `expect` value may be, and the message that refuses others
+_VERDICT = (("yes", "no", "unknown"), "expected one of yes, no, unknown")
+_YES_NO = (("yes", "no"), "expected 'yes' or 'no'")
+# verb -> (argument kinds, library call on the system and the arguments,
+# what its `expect` value is: a point, a function or one of some words);
+# verbs with no call have branches of their own
+_VERBS = {
+    "eval": ((_BF, _POINT), eval_bf, _POINT),
+    "member": ((_IDEAL, _POINT, _POINT), member, _VERDICT),
+    "boundary": (*_BFS["boundary"], _BF),
+    "minus": (*_BFS["minus"], _BF), "plus": (*_BFS["plus"], _BF),
+    "lattice": ((("'join' or 'meet'", None), _BF, _BF), None, _BF),
+    "classify": ((("a classification mode", None), ("a name", None)), None, None),
+    "equiv": ((_BF, _BF), bf_equiv, _YES_NO),
+    "sandwich": ((_IDEAL, _BF), sandwich_check, _VERDICT),
+    "suite": ((_SUITE,), None, (("ok",), "suites can only expect 'ok'")),
+    "paper-examples": ((("a fixture group", None),), None,
+                       (("ok",), "fixture groups can only expect 'ok'")),
+}
 
 
 def _tokens(line: str):
@@ -173,21 +183,32 @@ class _Engine:
             self._fail(line, toks[-1][1] + len(toks[-1][0]), f"expected {what}")
         return toks[i]
 
+    def _located(self, line, col, call, *args):
+        """call(*args), with an error the library raises reported at col."""
+        try:
+            return call(*args)
+        except (ValueError, RefinementError) as err:
+            self._fail(line, col, str(err))
+
     def _no_surplus(self, toks, n, line):
         """Reject any token past the first n, located at the first one."""
         if len(toks) > n:
             tok, col = toks[n]
             self._fail(line, col, f"unexpected {tok!r}")
 
+    def _args(self, toks, i, kinds, line):
+        """toks[i:] read as arguments of the given kinds: all must be
+        present before the first is resolved."""
+        if len(toks) < i + len(kinds):
+            self._take(toks, len(toks), line, kinds[len(toks) - i][0])
+        return [getattr(self, method)(tok, col, line) if method else (tok, col)
+                for (tok, col), (_, method) in zip(toks[i:], kinds)]
+
     def _point(self, tok, col, line):
         if tok in self.points:
             return self.points[tok]
         if "|" in tok:
-            s = self._system_or_fail(line, col)
-            try:
-                return parse_point(s, tok)
-            except (ValueError, RefinementError) as err:
-                self._fail(line, col, str(err))
+            return self._located(line, col, parse_point, self._system_or_fail(line, col), tok)
         self._fail(line, col, f"unknown point {tok!r}")
 
     def _ideal(self, tok, col, line):
@@ -199,6 +220,11 @@ class _Engine:
         if tok not in self.bfs:
             self._fail(line, col, f"unknown boundary function {tok!r}")
         return self.bfs[tok]
+
+    def _suite(self, tok, col, line):
+        if tok not in SUITE_NAMES:
+            self._fail(line, col, f"unknown suite {tok!r}")
+        return tok
 
     # -- statement execution
 
@@ -212,7 +238,7 @@ class _Engine:
             self._decl_ideal(line, text, toks)
         elif head == "bf":
             self._decl_bf(line, text, toks)
-        elif head in _VERB_ARGS:
+        elif head in _VERBS:
             self._run_verb(head, line, text, toks)
         else:
             self._fail(line, col, f"unknown command {head!r}")
@@ -222,10 +248,7 @@ class _Engine:
         self._no_surplus(toks, 2, line)
         if self.sys is not None:
             self._fail(line, col, "system is already set")
-        try:
-            self.sys = parse_system(tok)
-        except ValueError as err:
-            self._fail(line, col, str(err))
+        self.sys = self._located(line, col, parse_system, tok)
 
     def _decl_name(self, toks, line, kind):
         name, col = self._take(toks, 1, line, f"a {kind} name")
@@ -241,18 +264,26 @@ class _Engine:
         tok, col = self._take(toks, 3, line, "a point literal")
         self._no_surplus(toks, 4, line)
         s = self._system_or_fail(line, col)
-        try:
-            self.points[name] = parse_point(s, tok)
-        except (ValueError, RefinementError) as err:
-            self._fail(line, col, str(err))
+        self.points[name] = self._located(line, col, parse_point, s, tok)
 
     def _decl_ideal(self, line, text, toks):
         name = self._decl_name(toks, line, "ideal")
         kw, col = self._take(toks, 3, line, "an ideal constructor")
-        if kw in _IDEAL_ARGS:
-            self._no_surplus(toks, 4 + _IDEAL_ARGS[kw], line)
+        if kw in _IDEALS:
+            self._no_surplus(toks, 4 + len(_IDEALS[kw][0]), line)
         s = self._system_or_fail(line, col)
-        expr = self._build_ideal(kw, col, toks, 4, line)
+        if kw in _IDEALS:
+            kinds, build = _IDEALS[kw]
+            expr = build(*self._args(toks, 4, kinds, line))
+        elif kw in ("union", "intersection"):
+            if len(toks) < 6:
+                self._fail(line, col, f"{kw} needs at least two parts")
+            parts = [self._ideal(t, c, line) for t, c in toks[4:]]
+            expr = union(*parts) if kw == "union" else intersection(*parts)
+        elif kw == "finite":
+            expr = self._finite(toks, line)
+        else:
+            self._fail(line, col, f"unknown ideal constructor {kw!r}")
         bad = validate_ideal_expr(s, expr)
         if bad:
             self._fail(line, col, "; ".join(v.detail for v in bad))
@@ -260,100 +291,46 @@ class _Engine:
         self.out.results.append(CommandResult(
             line, text, "ok", describe_expr(s, expr)))
 
-    def _build_ideal(self, kw, col, toks, i, line):
-        """The ideal expression kw builds from the arguments toks[i:]."""
+    def _finite(self, toks, line):
+        """`finite N (W,W)...`: the level-N set closed over the pairs."""
         s = self.sys
-        if kw == "empty":
-            return Empty()
-        if kw == "full":
-            return Full()
-        if kw in ("strip", "strip_plus", "corner"):
-            a_tok, a_col = self._take(toks, i, line, "a point")
-            b_tok, b_col = self._take(toks, i + 1, line, "a point")
-            a = self._point(a_tok, a_col, line)
-            b = self._point(b_tok, b_col, line)
-            if kw == "strip":
-                return Strip(a, b)
-            if kw == "strip_plus":
-                return StripPlus(a, b)
-            return Corner(a, b)
-        if kw in ("union", "intersection"):
-            if len(toks) < i + 2:
-                self._fail(line, col, f"{kw} needs at least two parts")
-            parts = [self._ideal(t, c, line) for t, c in toks[i:]]
-            return union(*parts) if kw == "union" else intersection(*parts)
-        if kw == "module":
-            tok, tcol = self._take(toks, i, line, "an ideal name")
-            return module(self._ideal(tok, tcol, line))
-        if kw == "finite":
-            lvl_tok, lvl_col = self._take(toks, i, line, "a level")
-            if not lvl_tok.isdigit():
-                self._fail(line, lvl_col, "level must be a number")
-            pairs = []
-            for tok, tcol in toks[i + 1:]:
-                m = _WORD_PAIR.match(tok)
-                if not m:
-                    self._fail(line, tcol, f"expected a word pair, got {tok!r}")
-                pairs.append((parse_digits(s, m.group(1)),
-                              parse_digits(s, m.group(2))))
-            try:
-                units = close_finite_level(s, int(lvl_tok), pairs)
-            except RefinementError as err:
-                self._fail(line, lvl_col, str(err))
-            return FiniteLevel(units)
-        if kw in ("open", "hull"):
-            tok, tcol = self._take(toks, i, line, "a boundary function name")
-            bf = self._bf(tok, tcol, line)
-            return OfBFOpen(bf) if kw == "open" else OfBFClosed(bf)
-        self._fail(line, col, f"unknown ideal constructor {kw!r}")
+        lvl_tok, lvl_col = self._take(toks, 4, line, "a level")
+        if not lvl_tok.isdigit():
+            self._fail(line, lvl_col, "level must be a number")
+        pairs = []
+        for tok, tcol in toks[5:]:
+            m = _WORD_PAIR.match(tok)
+            if not m:
+                self._fail(line, tcol, f"expected a word pair, got {tok!r}")
+            pairs.append((parse_digits(s, m.group(1)), parse_digits(s, m.group(2))))
+        units = self._located(line, lvl_col, close_finite_level, s, int(lvl_tok), pairs)
+        return FiniteLevel(units)
 
     def _decl_bf(self, line, text, toks):
         name = self._decl_name(toks, line, "boundary function")
         kw, col = self._take(toks, 3, line, "a function constructor")
-        if kw in _BF_ARGS:
-            self._no_surplus(toks, 4 + _BF_ARGS[kw], line)
+        if kw in _BFS:
+            self._no_surplus(toks, 4 + len(_BFS[kw][0]), line)
         s = self._system_or_fail(line, col)
-        try:
-            bf = self._build_bf(kw, col, toks, 4, line)
-        except (ValueError, RefinementError) as err:
-            self._fail(line, col, str(err))
+        if kw not in _BFS:
+            self._fail(line, col, f"unknown function constructor {kw!r}")
+        bf = self._located(line, col, self._build_bf, kw, toks, 4, line)
         self.bfs[name] = bf
         self.out.results.append(CommandResult(
             line, text, "ok", format_bf(s, bf)))
 
-    def _build_bf(self, kw, col, toks, i, line):
+    def _build_bf(self, kw, toks, i, line):
         """The function kw builds from the arguments toks[i:]."""
-        s = self.sys
-        if kw == "identity":
-            return identity_bf(s)
-        if kw == "const":
-            tok, tcol = self._take(toks, i, line, "a point")
-            return const_bf(s, self._point(tok, tcol, line))
-        if kw == "boundary":
-            tok, tcol = self._take(toks, i, line, "an ideal name")
-            return boundary_of(s, self._ideal(tok, tcol, line))
-        if kw in ("minus", "plus"):
-            tok, tcol = self._take(toks, i, line, "a function name")
-            f = self._bf(tok, tcol, line)
-            return bf_minus(s, f) if kw == "minus" else bf_plus(s, f)
-        if kw in ("join", "meet"):
-            f_tok, f_col = self._take(toks, i, line, "a function name")
-            g_tok, g_col = self._take(toks, i + 1, line, "a function name")
-            f = self._bf(f_tok, f_col, line)
-            g = self._bf(g_tok, g_col, line)
-            return bf_join(s, f, g) if kw == "join" else bf_meet(s, f, g)
-        if kw == "family":
-            fam, fam_col = self._take(toks, i, line, "a family name")
-            a_tok, a_col = self._take(toks, i + 1, line, "a point")
-            b_tok, b_col = self._take(toks, i + 2, line, "a point")
-            a = self._point(a_tok, a_col, line)
-            b = self._point(b_tok, b_col, line)
-            if fam == "phi_at":
-                return construct_family(s, fam, a=a, t=b)
-            if fam in ("phi_ab", "psi_paab"):
-                return construct_family(s, fam, a=a, b=b)
-            self._fail(line, fam_col, f"unknown family {fam!r}")
-        self._fail(line, col, f"unknown function constructor {kw!r}")
+        kinds, call = _BFS[kw]
+        args = self._args(toks, i, kinds, line)
+        if call is not None:
+            return call(self.sys, *args)
+        (fam, fam_col), a, b = args
+        if fam == "phi_at":
+            return construct_family(self.sys, fam, a=a, t=b)
+        if fam in ("phi_ab", "psi_paab"):
+            return construct_family(self.sys, fam, a=a, b=b)
+        self._fail(line, fam_col, f"unknown family {fam!r}")
 
     # -- assertion commands
 
@@ -372,134 +349,76 @@ class _Engine:
         self.out.results.append(CommandResult(
             line, text, "ok" if ok else "fail", detail))
 
-    def _expect_verdict(self, tok, col, line):
-        if tok not in _VERDICTS:
-            self._fail(line, col, f"expected one of {', '.join(_VERDICTS)}")
-        return tok
-
     def _run_verb(self, head, line, text, toks):
         left, (want, want_col) = self._split_expect(toks, line)
-        self._no_surplus(left, 1 + _VERB_ARGS[head], line)
-        if head not in ("suite", "paper-examples"):
-            s = self._system_or_fail(line, left[0][1])
-        else:
+        kinds, call, expect = _VERBS[head]
+        self._no_surplus(left, 1 + len(kinds), line)
+        if head in ("suite", "paper-examples"):
             s = self.sys
-
-        if head == "eval":
-            f_tok, f_col = self._take(left, 1, line, "a function name")
-            x_tok, x_col = self._take(left, 2, line, "a point")
-            f = self._bf(f_tok, f_col, line)
-            x = self._point(x_tok, x_col, line)
-            got = eval_bf(s, f, x)
+        else:
+            s = self._system_or_fail(line, left[0][1])
+        if head == "lattice":
+            kw, kw_col = self._take(left, 1, line, kinds[0][0])
+            if kw not in ("join", "meet"):
+                self._fail(line, kw_col, "expected 'join' or 'meet'")
+            got = self._build_bf(kw, left, 2, line)
+        else:
+            args = self._args(left, 1, kinds, line)
+            if head == "classify":
+                return self._run_classify(s, line, text, *args, want, want_col)
+            if expect not in (_POINT, _BF) and want not in expect[0]:
+                self._fail(line, want_col, expect[1])
+            if head == "suite":
+                rep = run_suite(args[0], s, self.seed, self.budget)
+                self.out.reports.append(rep)
+                detail = f"{rep.samples} samples, {len(rep.violations)} violations"
+                return self._record(line, text, rep.ok, detail)
+            if head == "paper-examples":
+                return self._run_examples(line, text, *args[0])
+            if expect is _VERDICT:  # three-valued verdicts take the depth cap
+                args.append(self.depth_cap)
+            got = call(s, *args)
+        if expect is _POINT:
             wanted = self._point(want, want_col, line)
             self._record(line, text, got == wanted, format_point(s, got))
-
-        elif head == "member":
-            i_tok, i_col = self._take(left, 1, line, "an ideal name")
-            x_tok, x_col = self._take(left, 2, line, "a point")
-            y_tok, y_col = self._take(left, 3, line, "a point")
-            expr = self._ideal(i_tok, i_col, line)
-            x = self._point(x_tok, x_col, line)
-            y = self._point(y_tok, y_col, line)
-            wanted = self._expect_verdict(want, want_col, line)
-            got = member(s, expr, x, y, self.depth_cap)
-            self._record(line, text, got.kind == wanted, got.kind)
-
-        elif head in ("boundary", "minus", "plus", "lattice"):
-            if head == "lattice":
-                kw, kw_col = self._take(left, 1, line, "'join' or 'meet'")
-                if kw not in ("join", "meet"):
-                    self._fail(line, kw_col, "expected 'join' or 'meet'")
-                got = self._build_bf(kw, kw_col, left, 2, line)
-            else:
-                got = self._build_bf(head, left[0][1], left, 1, line)
+        elif expect is _BF:
             wanted = self._bf(want, want_col, line)
             self._record(line, text, bf_eq(s, got, wanted), format_bf(s, got))
-
-        elif head == "classify":
-            self._run_classify(line, text, left, want, want_col)
-
-        elif head == "equiv":
-            f_tok, f_col = self._take(left, 1, line, "a function name")
-            g_tok, g_col = self._take(left, 2, line, "a function name")
-            f = self._bf(f_tok, f_col, line)
-            g = self._bf(g_tok, g_col, line)
-            if want not in ("yes", "no"):
-                self._fail(line, want_col, "expected 'yes' or 'no'")
-            got = "yes" if bf_equiv(s, f, g) else "no"
+        else:
+            got = got.kind if expect is _VERDICT else ("yes" if got else "no")
             self._record(line, text, got == want, got)
 
-        elif head == "sandwich":
-            i_tok, i_col = self._take(left, 1, line, "an ideal name")
-            f_tok, f_col = self._take(left, 2, line, "a function name")
-            expr = self._ideal(i_tok, i_col, line)
-            f = self._bf(f_tok, f_col, line)
-            wanted = self._expect_verdict(want, want_col, line)
-            got = sandwich_check(s, expr, f, self.depth_cap)
-            self._record(line, text, got.kind == wanted, got.kind)
+    def _run_examples(self, line, text, group, col):
+        from .fixtures import emit_fixture, fixture_group
+        names = self._located(line, col, fixture_group, group)
+        bits, all_ok = [], True
+        for fname in names:
+            sub = run_scenario_text(
+                emit_fixture(fname), seed=self.seed, budget=self.budget,
+                depth_cap=self.depth_cap)
+            self.out.reports.extend(sub.reports)
+            ok = sub.exit_code == 0
+            all_ok = all_ok and ok
+            bits.append(f"{fname}: {'ok' if ok else 'fail'}")
+        self._record(line, text, all_ok, "; ".join(bits))
 
-        elif head == "suite":
-            n_tok, n_col = self._take(left, 1, line, "a suite name")
-            if n_tok not in SUITE_NAMES:
-                self._fail(line, n_col, f"unknown suite {n_tok!r}")
-            if want != "ok":
-                self._fail(line, want_col, "suites can only expect 'ok'")
-            rep = run_suite(n_tok, s, self.seed, self.budget)
-            self.out.reports.append(rep)
-            detail = f"{rep.samples} samples, {len(rep.violations)} violations"
-            self._record(line, text, rep.ok, detail)
-
-        elif head == "paper-examples":
-            g_tok, g_col = self._take(left, 1, line, "a fixture group")
-            if want != "ok":
-                self._fail(line, want_col, "fixture groups can only expect 'ok'")
-            from .fixtures import emit_fixture, fixture_group
-            try:
-                names = fixture_group(g_tok)
-            except ValueError as err:
-                self._fail(line, g_col, str(err))
-            bits, all_ok = [], True
-            for fname in names:
-                sub = run_scenario_text(
-                    emit_fixture(fname), seed=self.seed, budget=self.budget,
-                    depth_cap=self.depth_cap)
-                self.out.reports.extend(sub.reports)
-                ok = sub.exit_code == 0
-                all_ok = all_ok and ok
-                bits.append(f"{fname}: {'ok' if ok else 'fail'}")
-            self._record(line, text, all_ok, "; ".join(bits))
-
-
-    def _run_classify(self, line, text, left, want, want_col):
-        s = self.sys
-        mode_tok, mode_col = self._take(left, 1, line, "a classification mode")
-        arg_tok, arg_col = self._take(left, 2, line, "a name")
-        if mode_tok in _BF_KINDS:
-            kinds = _BF_KINDS[mode_tok]
-            if want not in kinds:
-                self._fail(line, want_col,
-                           f"expected {', '.join(kinds[:-1])} or {kinds[-1]}")
-            f = self._bf(arg_tok, arg_col, line)
-            verdict = (classify_meet_bf(s, f) if mode_tok == "meet"
-                       else classify_join_bf(s, f))
-            self._record(line, text, verdict.kind == want, verdict.kind)
-        elif mode_tok in ("meet-set", "join-set"):
-            expr = self._ideal(arg_tok, arg_col, line)
-            verdict = (classify_meet_ideal(s, expr) if mode_tok == "meet-set"
-                       else classify_join_ideal(s, expr))
-            if want == "irreducible":
-                ok = verdict.irreducible is True
-            elif want == "reducible":
-                ok = verdict.irreducible is False
-            elif want == "none":
-                ok = verdict.irreducible is None
-            else:
-                self._fail(line, want_col,
-                           "expected irreducible, reducible or none")
-            self._record(line, text, ok, verdict.kind)
-        else:
-            self._fail(line, mode_col,
-                       "expected meet, join, meet-set or join-set")
+    def _run_classify(self, s, line, text, mode, arg, want, want_col):
+        (mode, mode_col), (arg, arg_col) = mode, arg
+        if mode not in _CLASSIFY:
+            self._fail(line, mode_col, "expected meet, join, meet-set or join-set")
+        kind, call, answers = _CLASSIFY[mode]
+        refusal = f"expected {', '.join(answers[:-1])} or {answers[-1]}"
+        # which of two faults on a line is reported rests on this order: a
+        # function's answer is checked before its name, a set's after
+        if kind is _BF and want not in answers:
+            self._fail(line, want_col, refusal)
+        verdict = call(s, getattr(self, kind[1])(arg, arg_col, line))
+        if kind is _BF:
+            return self._record(line, text, verdict.kind == want, verdict.kind)
+        if want not in answers:
+            self._fail(line, want_col, refusal)
+        got = {True: "irreducible", False: "reducible", None: "none"}[verdict.irreducible]
+        self._record(line, text, got == want, verdict.kind)
 
 
 def run_scenario_text(text: str, *, system=None, seed: int = 0,

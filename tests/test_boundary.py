@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from memo_tables import clear_memo_tables, memo_tables
 from refbound import boundary, idealsets, order
 from refbound.boundary import (
     ID,
@@ -872,15 +873,9 @@ class TestCanonicalForm:
 # the write-path memo
 
 
-MEMO_TABLES = (boundary._checked_bf, bf_minus, bf_plus, boundary._lattice,
-               idealsets._boundary)
+MEMO_TABLES = memo_tables()
 MEMO_SYSTEMS = [parse_system(t) for t in (
     ";2", ";2,3", "3;2", ";3", ";11", "2;2,2,3", "12;2,13", ";2,3,5", ";7,11", "5,13;3,4,7")]
-
-
-def clear_memo():
-    for table in MEMO_TABLES + (order._canonical_point,):
-        table.cache_clear()
 
 
 def _write_path_run(sys):
@@ -899,7 +894,7 @@ def _write_path_run(sys):
 class TestMemo:
     @pytest.mark.parametrize("sys", MEMO_SYSTEMS, ids=format_system)
     def test_cold_and_warm_tables_give_equal_results(self, sys):
-        clear_memo()
+        clear_memo_tables()
         cold_fs, cold = _write_path_run(sys)
         warm_fs, warm = _write_path_run(sys)
         assert warm_fs == cold_fs and warm == cold
@@ -920,6 +915,14 @@ class TestMemo:
             expr = Intersection((OfBFOpen(f), OfBFClosed(g)))
             assert idealsets._boundary.__wrapped__(sys, expr, Mode.IDEAL) \
                 == boundary_of(sys, expr)
+
+    def test_every_table_is_found(self):
+        assert {(t.__module__, t.__qualname__) for t in MEMO_TABLES} == {
+            ("refbound.order", "_canonical_point"), ("refbound.boundary", "_checked_bf"),
+            ("refbound.boundary", "bf_minus"), ("refbound.boundary", "bf_plus"),
+            ("refbound.boundary", "_lattice"), ("refbound.boundary", "_search_data"),
+            ("refbound.idealsets", "_boundary")}
+        assert len(MEMO_TABLES) == 7  # each found once
 
     def test_a_repeat_returns_the_same_object(self):
         a, b = pt("1|2"), pt("21|1")

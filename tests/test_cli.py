@@ -1,12 +1,20 @@
 """Scenario engine, boundary-function literals, fixtures, and the CLI."""
 
+import hashlib
+import itertools
 import json
+import os
+import pathlib
 import random
+import re
+import subprocess
+import sys as _sys
 
 import pytest
 
 from refbound.boundary import bf_eq, format_bf, parse_bf, identity_bf, Mode
 from refbound.boundary import InvalidBoundaryFunctionError
+from refbound import scenario
 from refbound.cli import main
 from refbound.fixtures import (
     FIXTURE_GROUPS,
@@ -55,6 +63,157 @@ class TestBFLiterals:
             parse_bf(BIN, "[|1, |2] -> const(|2)")
 
 
+# malformed scenarios: each error's line, column and message
+ERROR_CASES = [
+    ("system ;2\nsystem ;3", 2, 8, "system is already set"),
+    ("bogus stuff", 1, 1, "unknown command 'bogus'"),
+    ("point a = |1", 1, 11, "no system declared yet (or pass --system)"),
+    ("system ;2\neval f |1 expect |1", 2, 6, "unknown boundary function 'f'"),
+    ("system ;2\nmember S |1 |1 expect yes", 2, 8, "unknown ideal expression 'S'"),
+    ("system ;2\npoint a = zz", 2, 11,
+     "point literal needs a '|' between preamble and period: 'zz'"),
+    ("system ;2\nbf f = identity\neval f |1", 3, 10, "command needs an 'expect' clause"),
+    ("system ;2\nbf f = identity\neval f |1 expect |1 junk", 3, 21,
+     "trailing input after the expectation"),
+    ("system ;2\nbf f = wat", 2, 8, "unknown function constructor 'wat'"),
+    ("system ;2\nideal S = wat", 2, 11, "unknown ideal constructor 'wat'"),
+    ("system ;2\nideal S = union", 2, 11, "union needs at least two parts"),
+    ("system ;2\nsuite nope expect ok", 2, 7, "unknown suite 'nope'"),
+    ("system ;2\nbf f = identity\nbf f = identity", 3, 4, "name 'f' is already bound"),
+    ("system ;2\nbf f = identity\nequiv f f expect maybe", 3, 18, "expected 'yes' or 'no'"),
+    ("paper-examples nowhere expect ok", 1, 16,
+     "unknown group 'nowhere'; choose from section2, section3, all"),
+    # surplus tokens, located at the first one
+    ("system ;2 ;3", 1, 11, "unexpected ';3'"),
+    ("system ;2\npoint a = |1 |2", 2, 14, "unexpected '|2'"),
+    ("system ;2\nideal A = strip |1 |2 |12", 2, 23, "unexpected '|12'"),
+    ("system ;2\nbf f = identity junk", 2, 17, "unexpected 'junk'"),
+    ("system ;2\nbf f = identity\neval f |1 |2 expect |1", 3, 11, "unexpected '|2'"),
+    ("system ;2\nbf f = identity\nminus f f expect f", 3, 9, "unexpected 'f'"),
+    # a missing argument sits past the last token
+    ("system ;2\nbf f = const", 2, 13, "expected a point"),
+    ("system ;2\nbf f = identity\nboundary expect f", 3, 9, "expected an ideal name"),
+    ("system ;2\nideal T = module", 2, 17, "expected an ideal name"),
+    # a kind the classification never returns
+    ("system ;2\nbf f = identity\nclassify meet f expect bogus", 3, 24,
+     "expected identity_form, phi_ab, psi_paab or reducible"),
+    ("system ;2\nbf f = identity\nclassify join f expect phi_ab", 3, 24,
+     "expected minimal_form, phi_at or reducible"),
+]
+# one statement after a prelude that binds a point a, an ideal S and a
+# function f: for every statement, a missing argument (located just past
+# the last token), an unknown name and a surplus token
+_PRELUDE = "system ;2\npoint a = |12\nideal S = strip a a\nbf f = identity\n"
+ERROR_CASES += [(_PRELUDE + statement, 5, col, message) for statement, col, message in [
+    ("ideal A = empty junk", 17, "unexpected 'junk'"),
+    ("ideal A = full junk", 16, "unexpected 'junk'"),
+    ("ideal A = strip a", 18, "expected a point"),
+    ("ideal A = strip a zz", 19, "unknown point 'zz'"),
+    ("ideal A = strip a a junk", 21, "unexpected 'junk'"),
+    ("ideal A = strip_plus a", 23, "expected a point"),
+    ("ideal A = strip_plus zz a", 22, "unknown point 'zz'"),
+    ("ideal A = strip_plus a a junk", 26, "unexpected 'junk'"),
+    ("ideal A = corner a", 19, "expected a point"),
+    ("ideal A = corner a zz", 20, "unknown point 'zz'"),
+    ("ideal A = corner a a junk", 22, "unexpected 'junk'"),
+    ("ideal A = module", 17, "expected an ideal name"),
+    ("ideal A = module zz", 18, "unknown ideal expression 'zz'"),
+    ("ideal A = module S S", 20, "unexpected 'S'"),
+    ("ideal A = open", 15, "expected a boundary function name"),
+    ("ideal A = open zz", 16, "unknown boundary function 'zz'"),
+    ("ideal A = open f f", 18, "unexpected 'f'"),
+    ("ideal A = hull", 15, "expected a boundary function name"),
+    ("ideal A = hull zz", 16, "unknown boundary function 'zz'"),
+    ("ideal A = hull f f", 18, "unexpected 'f'"),
+    ("ideal A = union S", 11, "union needs at least two parts"),
+    ("ideal A = union S zz", 19, "unknown ideal expression 'zz'"),
+    ("ideal A = intersection S", 11, "intersection needs at least two parts"),
+    ("ideal A = intersection zz S", 24, "unknown ideal expression 'zz'"),
+    ("ideal A = finite", 17, "expected a level"),
+    ("ideal A = finite x", 18, "level must be a number"),
+    ("ideal A = finite 2 (12,21) junk", 28, "expected a word pair, got 'junk'"),
+    ("bf g = identity junk", 17, "unexpected 'junk'"),
+    ("bf g = const", 13, "expected a point"),
+    ("bf g = const zz", 14, "unknown point 'zz'"),
+    ("bf g = const a a", 16, "unexpected 'a'"),
+    ("bf g = boundary", 16, "expected an ideal name"),
+    ("bf g = boundary zz", 17, "unknown ideal expression 'zz'"),
+    ("bf g = boundary S S", 19, "unexpected 'S'"),
+    ("bf g = minus", 13, "expected a function name"),
+    ("bf g = minus zz", 14, "unknown boundary function 'zz'"),
+    ("bf g = minus f f", 16, "unexpected 'f'"),
+    ("bf g = plus", 12, "expected a function name"),
+    ("bf g = plus zz", 13, "unknown boundary function 'zz'"),
+    ("bf g = plus f f", 15, "unexpected 'f'"),
+    ("bf g = join f", 14, "expected a function name"),
+    ("bf g = join f zz", 15, "unknown boundary function 'zz'"),
+    ("bf g = join f f f", 17, "unexpected 'f'"),
+    ("bf g = meet f", 14, "expected a function name"),
+    ("bf g = meet zz f", 13, "unknown boundary function 'zz'"),
+    ("bf g = meet f f f", 17, "unexpected 'f'"),
+    ("bf g = family phi_ab a", 23, "expected a point"),
+    ("bf g = family nope a a", 15, "unknown family 'nope'"),
+    ("bf g = family phi_ab a zz", 24, "unknown point 'zz'"),
+    ("bf g = family phi_ab a a a", 26, "unexpected 'a'"),
+    ("eval f expect a", 7, "expected a point"),
+    ("eval f zz expect a", 8, "unknown point 'zz'"),
+    ("eval f a a expect a", 10, "unexpected 'a'"),
+    ("eval f a expect zz", 17, "unknown point 'zz'"),
+    ("member S a expect yes", 11, "expected a point"),
+    ("member zz a a expect yes", 8, "unknown ideal expression 'zz'"),
+    ("member S a a a expect yes", 14, "unexpected 'a'"),
+    ("member S a a expect maybe", 21, "expected one of yes, no, unknown"),
+    ("boundary expect f", 9, "expected an ideal name"),
+    ("boundary zz expect f", 10, "unknown ideal expression 'zz'"),
+    ("boundary S S expect f", 12, "unexpected 'S'"),
+    ("boundary S expect zz", 19, "unknown boundary function 'zz'"),
+    ("minus expect f", 6, "expected a function name"),
+    ("minus zz expect f", 7, "unknown boundary function 'zz'"),
+    ("minus f f expect f", 9, "unexpected 'f'"),
+    ("plus expect f", 5, "expected a function name"),
+    ("plus zz expect f", 6, "unknown boundary function 'zz'"),
+    ("plus f f expect f", 8, "unexpected 'f'"),
+    ("lattice join f expect f", 15, "expected a function name"),
+    ("lattice join f zz expect f", 16, "unknown boundary function 'zz'"),
+    ("lattice join f f f expect f", 18, "unexpected 'f'"),
+    ("lattice both f f expect f", 9, "expected 'join' or 'meet'"),
+    ("lattice expect f", 8, "expected 'join' or 'meet'"),
+    ("equiv f expect yes", 8, "expected a function name"),
+    ("equiv f zz expect yes", 9, "unknown boundary function 'zz'"),
+    ("equiv f f f expect yes", 11, "unexpected 'f'"),
+    ("sandwich S expect yes", 11, "expected a function name"),
+    ("sandwich zz f expect yes", 10, "unknown ideal expression 'zz'"),
+    ("sandwich S f f expect yes", 14, "unexpected 'f'"),
+    ("sandwich S f expect maybe", 21, "expected one of yes, no, unknown"),
+    ("suite expect ok", 6, "expected a suite name"),
+    ("suite nope expect ok", 7, "unknown suite 'nope'"),
+    ("suite prop1 prop1 expect ok", 13, "unexpected 'prop1'"),
+    ("suite prop1 expect yes", 20, "suites can only expect 'ok'"),
+    ("paper-examples expect ok", 15, "expected a fixture group"),
+    ("paper-examples nowhere expect ok", 16,
+     "unknown group 'nowhere'; choose from section2, section3, all"),
+    ("paper-examples all all expect ok", 20, "unexpected 'all'"),
+    ("paper-examples all expect yes", 27, "fixture groups can only expect 'ok'"),
+    ("classify meet expect phi_ab", 14, "expected a name"),
+    ("classify meet zz expect phi_ab", 15, "unknown boundary function 'zz'"),
+    ("classify meet-set zz expect none", 19, "unknown ideal expression 'zz'"),
+    ("classify meet f f expect phi_ab", 17, "unexpected 'f'"),
+    ("classify both f expect phi_ab", 10, "expected meet, join, meet-set or join-set"),
+    ("classify meet-set S expect maybe", 28, "expected irreducible, reducible or none"),
+    # two faults on one line: the first one checked is reported
+    ("member zz a a expect maybe", 8, "unknown ideal expression 'zz'"),
+    ("equiv zz f expect maybe", 7, "unknown boundary function 'zz'"),
+    ("eval zz a expect zz", 6, "unknown boundary function 'zz'"),
+    ("suite nope expect yes", 7, "unknown suite 'nope'"),
+    ("paper-examples nowhere expect yes", 31, "fixture groups can only expect 'ok'"),
+    ("bf g = family nope a zz", 22, "unknown point 'zz'"),
+    ("lattice both zz f expect f", 9, "expected 'join' or 'meet'"),
+    ("classify meet zz expect bogus", 25,
+     "expected identity_form, phi_ab, psi_paab or reducible"),
+    ("classify meet-set zz expect maybe", 19, "unknown ideal expression 'zz'"),
+]]
+
+
 class TestScenarioGrammar:
     def test_comments_and_blanks_skipped(self):
         out = run_scenario_text("# nothing\n\nsystem ;2\n  # indented\n")
@@ -74,42 +233,30 @@ class TestScenarioGrammar:
             "system ;2\nbf f = identity\neval f 2|1 expect 2|1\n")
         assert out.exit_code == 0
 
-    @pytest.mark.parametrize("text,line,col", [
-        ("system ;2\nsystem ;3", 2, 8),
-        ("bogus stuff", 1, 1),
-        ("point a = |1", 1, 11),
-        ("system ;2\neval f |1 expect |1", 2, 6),
-        ("system ;2\nmember S |1 |1 expect yes", 2, 8),
-        ("system ;2\npoint a = zz", 2, 11),
-        ("system ;2\nbf f = identity\neval f |1", 3, 10),
-        ("system ;2\nbf f = identity\neval f |1 expect |1 junk", 3, 21),
-        ("system ;2\nbf f = wat", 2, 8),
-        ("system ;2\nideal S = wat", 2, 11),
-        ("system ;2\nideal S = union", 2, 11),
-        ("system ;2\nsuite nope expect ok", 2, 7),
-        ("system ;2\nbf f = identity\nbf f = identity", 3, 4),
-        ("system ;2\nbf f = identity\nequiv f f expect maybe", 3, 18),
-        ("paper-examples nowhere expect ok", 1, 16),
-        # surplus tokens, located at the first one
-        ("system ;2 ;3", 1, 11),
-        ("system ;2\npoint a = |1 |2", 2, 14),
-        ("system ;2\nideal A = strip |1 |2 |12", 2, 23),
-        ("system ;2\nbf f = identity junk", 2, 17),
-        ("system ;2\nbf f = identity\neval f |1 |2 expect |1", 3, 11),
-        ("system ;2\nbf f = identity\nminus f f expect f", 3, 9),
-        # a missing argument sits past the last token
-        ("system ;2\nbf f = const", 2, 13),
-        ("system ;2\nbf f = identity\nboundary expect f", 3, 9),
-        ("system ;2\nideal T = module", 2, 17),
-        # a kind the classification never returns
-        ("system ;2\nbf f = identity\nclassify meet f expect bogus", 3, 24),
-        ("system ;2\nbf f = identity\nclassify join f expect phi_ab", 3, 24),
-    ])
-    def test_errors_carry_position(self, text, line, col):
+    # each case is named by its text, line and column
+    @pytest.mark.parametrize("text,line,col,message", ERROR_CASES,
+                             ids=[f"{t}-{l}-{c}" for t, l, c, _ in ERROR_CASES])
+    def test_errors_carry_position(self, text, line, col, message):
         with pytest.raises(ScenarioError) as err:
             run_scenario_text(text)
-        assert err.value.line == line
-        assert err.value.column == col
+        assert (err.value.line, err.value.column, err.value.message) == (line, col, message)
+
+    def test_every_keyword_is_documented(self):
+        # each table keyword appears in the module grammar and in README's list
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        listed = readme.split("### Scenario files", 1)[1].split("```", 2)[2]
+        verbs, rest = listed.split("Verbs:", 1)[1].split("Ideal constructors:")
+        ideals, bfs = rest.split("Function constructors:")
+        grammar = scenario.__doc__.split("Grammar", 1)[1]
+        ideal_rule, rest = grammar.split("ideal NAME =", 1)[1].split("bf NAME =")
+        bf_rule, verb_rules = rest.split("\n    eval", 1)
+        verb_heads = " ".join(re.findall(r"^    ([\w-]+)", "    eval" + verb_rules, re.M))
+        for table, spots in ((scenario._IDEALS, (ideals, ideal_rule)),
+                             (scenario._BFS, (bfs, bf_rule)),
+                             (scenario._VERBS, (verbs, verb_heads)),
+                             (scenario._CLASSIFY, (verbs, verb_rules))):
+            for word, spot in itertools.product(table, spots):
+                assert re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", spot), word
 
     def test_missing_system_points_at_command(self):
         with pytest.raises(ScenarioError) as err:
@@ -383,8 +530,27 @@ class TestCLI:
 
     def test_paper_examples_json(self, tmp_path, capsys):
         path = tmp_path / "pe.json"
-        assert main(["paper-examples", "section3", "--json", str(path)]) == 0
+        assert main(["paper-examples", "all", "--json", str(path)]) == 0
         capsys.readouterr()
         data = json.loads(path.read_text())
         assert data["exit"] == 0
         assert len(data["commands"]) > 20
+        # every worked example, byte for byte; a deliberate answer change
+        # re-pins the digest and says why in CHANGES.md
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "2af5d1252ffeb68f8584d5146c2d34f9222ba2ac5cfe9a2061ac61fd3783d209"
+
+    def test_closed_stdout_ends_quietly(self):
+        # a reader that is gone before the first write, as after `| head -n 1`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = pathlib.Path(scenario.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        try:
+            done = subprocess.run([_sys.executable, "-m", "refbound", "suite", "lemma8"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == b""

@@ -56,7 +56,6 @@ from refbound.idealsets import (
     _viol,
     boundary_of,
     close_finite_level,
-    combine,
     in_B_phi,
     in_L_phi,
     intersection,
@@ -297,8 +296,8 @@ class TestBoundaries:
     def test_union_joins_intersection_meets(self):
         t = pt("2|21")
         parts = [Strip(self.a, self.b), Corner(self.a, t)]
-        ub = boundary_of(BIN, combine("union", parts))
-        ib = boundary_of(BIN, combine("intersection", parts))
+        ub = boundary_of(BIN, union(*parts))
+        ib = boundary_of(BIN, intersection(*parts))
         for y in (pt("|1"), self.a, t, pt("22|21"), pt("|2")):
             vals = [eval_bf(BIN, boundary_of(BIN, p), y) for p in parts]
             lo = vals[0] if le(vals[0], vals[1]) else vals[1]
@@ -591,9 +590,10 @@ class TestValidation:
         got = validate_ideal_expr(BIN, FiniteLevel(units))
         assert [(v.code, v.detail) for v in got] == [("ConstructorViolation", detail)]
 
-    def test_combine_refuses_module_parts(self):
-        with pytest.raises(RefinementError):
-            combine("union", [module(Full()), Empty()])
+    def test_module_parts_are_refused(self):
+        got = validate_ideal_expr(BIN, union(module(Full()), Empty()))
+        assert [(v.code, v.detail) for v in got] == [
+            ("ConstructorViolation", "module wrapper must be outermost")]
 
 
 class TestGraphSets:

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from refbound import boundary, idealsets, oracle
+from memo_tables import clear_memo_tables
+from refbound import oracle
 from refbound.boundary import Mode, Violation, bf_eq, identity_bf, parse_bf, validate_bf
 from refbound.idealsets import (
     FiniteLevel,
@@ -16,7 +17,6 @@ from refbound.idealsets import (
     validate_ideal_expr,
 )
 from refbound.order import (
-    _canonical_point,
     RefinementError,
     format_point,
     orbit_test,
@@ -261,13 +261,9 @@ class TestRunSuite:
         # witnesses of failed checks included
         runs = [("prop9", BIN, 1, 3), ("def-biconditions", ALT, 0, 1),
                 ("oracle-equivalence", parse_system("3;2"), 0, 1)]
-        tables = (_canonical_point, boundary._checked_bf, boundary.bf_minus,
-                  boundary.bf_plus, boundary._lattice, idealsets._boundary,
-                  boundary._search_data)
         cold = []
         for args in runs:
-            for table in tables:
-                table.cache_clear()
+            clear_memo_tables()
             cold.append(run_suite(*args).to_json())
         warm = [run_suite(*args).to_json() for _ in range(2) for args in runs]
         assert warm == cold * 2
