@@ -48,6 +48,7 @@ from .order import (
     p_min,
     p_test,
     pred,
+    stored_hash,
     suc,
 )
 
@@ -126,6 +127,7 @@ def leaf_inf(sys: RefinementSystem, ival: OrderInterval, leaf: Leaf) -> tuple[Po
     return m, False
 
 
+@stored_hash
 @dataclass(frozen=True)
 class PiecewiseBF:
     """Piecewise boundary function in its normal form.
@@ -135,9 +137,7 @@ class PiecewiseBF:
     library operation, which all return that spelling, so == and hash
     compare functions.  Pieces spelled by hand compare as spelled until
     they go through normalize_bf; lists are stored as tuples, so every
-    function hashes.  The hash is hash((pieces, mode)), stored once as
-    Point's is.  Mode's hash depends on PYTHONHASHSEED, so pickling and
-    copying keep only pieces and mode and rebuild the hash.
+    function hashes; the hash is stored (stored_hash).
     """
 
     pieces: tuple[Piece, ...]
@@ -145,18 +145,6 @@ class PiecewiseBF:
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(map(tuple, self.pieces)))
-
-    _hash = None
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.pieces, self.mode))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        return PiecewiseBF, (self.pieces, self.mode)
 
 
 @dataclass(frozen=True)
@@ -598,6 +586,14 @@ def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     return verdict_yes(hi)
 
 
+def linked(mode: Mode, x: Point, y: Point) -> bool:
+    """May the pair (x, y) lie in a set of this mode?
+
+    Both modes need one orbit; an ideal also needs x <= y (p_test).
+    """
+    return p_test(x, y) if mode is Mode.IDEAL else orbit_test(x, y)
+
+
 def sigma_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
                  depth_cap: Optional[int] = None) -> Verdict:
     """Membership of the pair (x, y) in the open set carved out by bf.
@@ -613,23 +609,14 @@ def sigma_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     plus a gallop and bisection below it.  A depth cap below that bound
     can leave the answer unknown.
     """
-    if bf.mode is Mode.IDEAL:
-        if not p_test(x, y):
-            return VERDICT_NO
-    else:
-        if not orbit_test(x, y):
-            return VERDICT_NO
+    if not linked(bf.mode, x, y):
+        return VERDICT_NO
     return _least_level(sys, bf, x, y, Strictness.NONSTRICT, depth_cap)
 
 
 def eta_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point) -> bool:
     """Membership of (x, y) in the closed companion: x weakly below phi(y)."""
-    if bf.mode is Mode.IDEAL:
-        if not p_test(x, y):
-            return False
-    elif not orbit_test(x, y):
-        return False
-    return le(x, eval_bf(sys, bf, y))
+    return linked(bf.mode, x, y) and le(x, eval_bf(sys, bf, y))
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +773,7 @@ def validate_bf(sys: RefinementSystem, bf: PiecewiseBF) -> list[Violation]:
                     "Property2b",
                     f"value {fmt(c)} with a gap below is taken at {fmt(y)} "
                     "which has no gap below"))
-            linked = p_test(c, y) if bf.mode is Mode.IDEAL else orbit_test(c, y)
-            if not linked:
+            if not linked(bf.mode, c, y):
                 out.append(Violation(
                     "Property2a",
                     f"value {fmt(c)} with a gap below is not orbit-linked below {fmt(y)}"))

@@ -1,7 +1,7 @@
 """Command line front end.
 
-Four subcommands share one flag set (--system, --seed, --budget,
---depth-cap, --json):
+Four subcommands share one flag set (--seed, --budget, --depth-cap,
+--json); run and suite also take --system:
 
     refbound run PATH              execute a scenario file
     refbound fixture NAME [--run]  print (or run) a built-in scenario
@@ -40,11 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "limit systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, repeat=False):
-        p.add_argument("--system", metavar="LITERAL", default=None,
-                       action="append" if repeat else "store",
-                       help="system literal, e.g. ';2' or '2;3,2'"
-                            + ("; repeat for several systems" if repeat else ""))
+    def common(p, repeat=False, system=True):
+        if system:
+            p.add_argument("--system", metavar="LITERAL", default=None,
+                           action="append" if repeat else "store",
+                           help="system literal, e.g. ';2' or '2;3,2'"
+                                + ("; repeat for several systems" if repeat else ""))
         p.add_argument("--seed", type=int, default=None if repeat else 0,
                        action="append" if repeat else "store",
                        help="repeat for several seeds" if repeat else None)
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fix.add_argument("name", choices=list(FIXTURE_NAMES))
     p_fix.add_argument("--run", action="store_true",
                        help="execute the fixture instead of printing it")
-    common(p_fix)
+    common(p_fix, system=False)
 
     p_suite = sub.add_parser("suite", help="run property suites")
     p_suite.add_argument("name", nargs="+", choices=list(SUITE_NAMES) + ["all"])
@@ -71,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pe = sub.add_parser("paper-examples", help="run a fixture group")
     p_pe.add_argument("group", choices=sorted(FIXTURE_GROUPS))
-    common(p_pe)
+    common(p_pe, system=False)
     return parser
 
 
@@ -132,8 +133,8 @@ def _cmd_fixture(args) -> int:
         print(text, end="" if text.endswith("\n") else "\n")
         return 0
     with _json_file(args.json_path) as out:
-        outcome = run_scenario_text(text, system=args.system, seed=args.seed,
-                                    budget=args.budget, depth_cap=args.depth_cap)
+        outcome = run_scenario_text(text, seed=args.seed, budget=args.budget,
+                                    depth_cap=args.depth_cap)
         return _scenario_command(outcome, out)
 
 

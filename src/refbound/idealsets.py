@@ -37,6 +37,7 @@ from .boundary import (
     cylinder_within_eta,
     eval_bf,
     identity_bf,
+    linked,
     make_bf,
     minus_point,
     sigma_member,
@@ -62,11 +63,9 @@ from .order import (
     lt,
     max_tail_point,
     min_tail_point,
-    orbit_test,
     order_compare,
     p_max,
     p_min,
-    p_test,
     pred,
     prepend,
     replace_prefix,
@@ -263,12 +262,6 @@ def _unwrap(expr):
     return expr.inner if isinstance(expr, Module) else expr
 
 
-def _pair_ok(mode: Mode, x: Point, y: Point) -> bool:
-    if mode is Mode.MODULE:
-        return orbit_test(x, y)
-    return p_test(x, y)
-
-
 # ---------------------------------------------------------------------------
 # membership
 
@@ -276,13 +269,12 @@ def _pair_ok(mode: Mode, x: Point, y: Point) -> bool:
 def member(sys: RefinementSystem, expr, x: Point, y: Point,
            depth_cap: Optional[int] = None) -> Verdict:
     """Three-valued membership of the pair (x, y) in the expression."""
-    mode = expr_mode(expr)
-    if not _pair_ok(mode, x, y):
+    if not linked(expr_mode(expr), x, y):
         return VERDICT_NO
-    return _member(sys, _unwrap(expr), x, y, mode, depth_cap)
+    return _member(sys, _unwrap(expr), x, y, depth_cap)
 
 
-def _member(sys, expr, x, y, mode, cap) -> Verdict:
+def _member(sys, expr, x, y, cap) -> Verdict:
     if isinstance(expr, Module):
         raise RefinementError("module wrapper must be outermost")
     if isinstance(expr, Empty):
@@ -319,7 +311,7 @@ def _member(sys, expr, x, y, mode, cap) -> Verdict:
     if isinstance(expr, Union):
         unknown = None
         for part in expr.parts:
-            k = _member(sys, part, x, y, mode, cap)
+            k = _member(sys, part, x, y, cap)
             if k.is_yes:
                 return k
             if k.is_unknown and (unknown is None or k.level > unknown.level):
@@ -329,7 +321,7 @@ def _member(sys, expr, x, y, mode, cap) -> Verdict:
         unknown = None
         level = 0
         for part in expr.parts:
-            k = _member(sys, part, x, y, mode, cap)
+            k = _member(sys, part, x, y, cap)
             if k.is_no:
                 return VERDICT_NO
             if k.is_unknown:
@@ -585,7 +577,7 @@ def _matched_tail(sys, u: Word, v: Word, a: Point, b: Point) -> Optional[Point]:
     return ta if ta == tb else None
 
 
-def _viol(sys, s, expr, u: Word, v: Word, mode) -> TailSet:
+def _viol(sys, s, expr, u: Word, v: Word) -> TailSet:
     """Tails w whose pair (u w, v w) falls outside expr.
 
     The intervals live in s = sys.shift(len(u)), the system that governs
@@ -604,7 +596,7 @@ def _viol(sys, s, expr, u: Word, v: Word, mode) -> TailSet:
         inside_y = _threshold_down(sys, s, v, expr.b)
         return tailset_intersect(s, inside_x, inside_y)
     if isinstance(expr, StripPlus):
-        base = _viol(sys, s, Strip(expr.a, expr.b), u, v, mode)
+        base = _viol(sys, s, Strip(expr.a, expr.b), u, v)
         wstar = _matched_tail(sys, u, v, expr.a, expr.b)
         if wstar is not None:
             base = tailset_remove_point(s, base, wstar)
@@ -628,14 +620,14 @@ def _viol(sys, s, expr, u: Word, v: Word, mode) -> TailSet:
     if isinstance(expr, Union):
         acc = _ts_all(s)
         for part in expr.parts:
-            acc = tailset_intersect(s, acc, _viol(sys, s, part, u, v, mode))
+            acc = tailset_intersect(s, acc, _viol(sys, s, part, u, v))
             if not acc:
                 break
         return acc
     if isinstance(expr, Intersection):
         acc: TailSet = ()
         for part in expr.parts:
-            acc = tailset_union(s, acc, _viol(sys, s, part, u, v, mode))
+            acc = tailset_union(s, acc, _viol(sys, s, part, u, v))
             if tailset_is_all(s, acc):
                 break
         return acc
@@ -676,7 +668,7 @@ def restrict_to_level(sys: RefinementSystem, expr, n: int) -> MatrixUnitSet:
         for v in words:
             if mode is Mode.IDEAL and u > v:
                 continue
-            if not _viol(sys, shifted, inner, u, v, mode):
+            if not _viol(sys, shifted, inner, u, v):
                 out.add((u, v))
     return MatrixUnitSet(n, frozenset(out), mode)
 
@@ -705,7 +697,7 @@ def _validate(sys, expr, mode, out: list[Violation]) -> None:
     if isinstance(expr, (Empty, Full, Strip)):
         return
     if isinstance(expr, StripPlus):
-        if not _pair_ok(mode, expr.a, expr.b) or not le(expr.a, expr.b):
+        if not linked(mode, expr.a, expr.b) or not le(expr.a, expr.b):
             out.append(_constructor(
                 f"the reinstated pair ({format_point(sys, expr.a)}, "
                 f"{format_point(sys, expr.b)}) must itself be linkable"))
@@ -808,7 +800,7 @@ def _sample_pairs(sys, expr) -> list[tuple[Point, Point]]:
     pairs = []
     for x in points:
         for y in points:
-            if _pair_ok(mode, x, y):
+            if linked(mode, x, y):
                 pairs.append((x, y))
             if len(pairs) >= 64:
                 return pairs
@@ -828,7 +820,7 @@ def _sampled_downward_closure(sys, expr, out: list[Violation]) -> None:
         if not member(sys, expr, x, y).is_yes:
             continue
         w, z = _orbit_mates(sys, x, y)
-        if not _pair_ok(mode, w, z):
+        if not linked(mode, w, z):
             continue
         if member(sys, expr, w, z).is_no:
             out.append(Violation(

@@ -174,15 +174,8 @@ class MeetClass:
         return self.kind != "reducible"
 
 
-@dataclass(frozen=True)
-class JoinClass:
-    kind: str  # minimal_form | phi_at | reducible
-    params: tuple = ()
-    witnesses: Optional[tuple] = None
-
-    @property
-    def irreducible(self) -> bool:
-        return self.kind != "reducible"
+class JoinClass(MeetClass):
+    """MeetClass's body; kind is minimal_form, phi_at or reducible."""
 
 
 def _require_ideal(bf: PiecewiseBF) -> None:

@@ -793,29 +793,37 @@ def _suite_lemma12(sys, rng, budget, rec):
                           lambda: f"{fmt_units(s1)} {op} {fmt_units(s2)} at {fmt_word(v)}")
 
 
-_MEET_FORMS = {"identity_form": {"identity"}, "phi_ab": {"phi_ab", "minimal"},
-               "psi_paab": {"psi_paab"}}
+def _classify_random_bfs(sys, rng, budget, rec, op, classify, combine, forms):
+    """3 * budget random functions through one classifier (op is meet or join).
 
-
-def _suite_prop13(sys, rng, budget, rec):
+    A reducible verdict's lawful witnesses must combine back to the
+    function; an irreducible one's kind must match the function's
+    catalog shape (forms maps the kind to the bf_form tags it allows).
+    """
     for _ in range(3 * budget):
         phi = random_bf(sys, rng)
         wit = lambda: format_bf(sys, phi)
         try:
-            cls = classify_meet_bf(sys, phi)
+            cls = classify(sys, phi)
         except RefinementError as err:
-            rec.check(False, "meet classification self-check failed",
+            rec.check(False, f"{op} classification self-check failed",
                       lambda: wit() + "; " + str(err))
             continue
         if cls.kind == "reducible":
             w1, w2 = cls.witnesses
-            met = bf_meet(sys, w1, w2)
-            rec.check(met == phi and _lawful(sys, w1, w2, met),
-                      "lawful meet witnesses must recompose the function", wit)
+            both = combine(sys, w1, w2)
+            rec.check(both == phi and _lawful(sys, w1, w2, both),
+                      f"lawful {op} witnesses must recompose the function", wit)
         else:
-            rec.check(bf_form(sys, phi).tag in _MEET_FORMS[cls.kind],
+            rec.check(bf_form(sys, phi).tag in forms[cls.kind],
                       "an irreducible function must carry its catalog shape",
                       lambda: wit() + "; kind=" + cls.kind)
+
+
+def _suite_prop13(sys, rng, budget, rec):
+    _classify_random_bfs(sys, rng, budget, rec, "meet", classify_meet_bf, bf_meet, {
+        "identity_form": {"identity"}, "phi_ab": {"phi_ab", "minimal"},
+        "psi_paab": {"psi_paab"}})
     for _ in range(2 * budget):
         a, b = _random_linked_pair(sys, rng)
         for expr in (Strip(a, b), StripPlus(a, b)):
@@ -837,26 +845,8 @@ def _suite_prop14(sys, rng, budget, rec):
     rec.check(classify_join_bf(sys, const_bf(sys, p_min(sys))).kind
               == "minimal_form",
               "the minimal function is join-irreducible", "const bottom")
-    for _ in range(3 * budget):
-        phi = random_bf(sys, rng)
-        wit = lambda: format_bf(sys, phi)
-        try:
-            cls = classify_join_bf(sys, phi)
-        except RefinementError as err:
-            rec.check(False, "join classification self-check failed",
-                      lambda: wit() + "; " + str(err))
-            continue
-        if cls.kind == "reducible":
-            w1, w2 = cls.witnesses
-            joined = bf_join(sys, w1, w2)
-            rec.check(joined == phi and _lawful(sys, w1, w2, joined),
-                      "lawful join witnesses must recompose the function", wit)
-        else:
-            tag = bf_form(sys, phi).tag
-            allowed = {"minimal_form": {"minimal"}, "phi_at": {"phi_at"}}
-            rec.check(tag in allowed[cls.kind],
-                      "an irreducible function must carry its catalog shape",
-                      lambda: wit() + "; kind=" + cls.kind)
+    _classify_random_bfs(sys, rng, budget, rec, "join", classify_join_bf, bf_join, {
+        "minimal_form": {"minimal"}, "phi_at": {"phi_at"}})
 
 
 def _suite_prop15(sys, rng, budget, rec):

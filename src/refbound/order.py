@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterator, Optional, Sequence
@@ -43,6 +43,31 @@ def _unroll(head: tuple[int, ...], loop: tuple[int, ...], n: int) -> tuple[int, 
     return (head + loop * reps)[:n]
 
 
+def stored_hash(cls):
+    """Class decorator: store the hash of a frozen dataclass that keys memo tables.
+
+    The hash is that of the init-field tuple (what the generated hash
+    gives), computed on first use and stored as _hash, a class attribute
+    and not a field, so it is outside ==, repr and dataclasses.fields.
+    Pickles and copies keep only the init fields (Mode hashes its name,
+    so a hash depends on PYTHONHASHSEED).  The two methods are compiled
+    from source, as dataclasses compiles its own, so the field tuple is
+    built inline, as cheaply as in a hand-written __hash__.
+    """
+    key = "(" + "".join(f"self.{f.name}, " for f in fields(cls) if f.init) + ")"
+    scope = {"cls": cls}
+    exec("def __hash__(self):\n"
+         "    h = self._hash\n"
+         "    if h is None:\n"
+         f"        h = hash({key})\n"
+         '        object.__setattr__(self, "_hash", h)\n'
+         "    return h\n"
+         "def __reduce__(self):\n"
+         f"    return cls, {key}\n", scope)
+    cls._hash, cls.__hash__, cls.__reduce__ = None, scope["__hash__"], scope["__reduce__"]
+    return cls
+
+
 def _primitive_root(cycle: tuple[int, ...]) -> tuple[int, ...]:
     # smallest block whose repetition gives the cycle
     n = len(cycle)
@@ -52,33 +77,20 @@ def _primitive_root(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return cycle
 
 
+@stored_hash
 @dataclass(frozen=True)
 class RefinementSystem:
     """Multiplicity sequence k_1 k_2 ... given as a prefix and a repeating cycle.
 
     Instances are canonical: the cycle is primitive, and the prefix never
     ends with the digit the cycle would supply at that position anyway.
-    Always build through make() so equal sequences compare equal.
-
-    The system is the first key of every memo table, so it hashes as
-    Point does: hash((prefix, cycle)), stored on first use, outside ==,
-    repr and the fields, and not carried by pickles or copies.
+    Always build through make() so equal sequences compare equal.  The
+    system is the first key of every memo table; its hash is stored
+    (stored_hash).
     """
 
     prefix: tuple[int, ...]
     cycle: tuple[int, ...]
-
-    _hash = None
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.prefix, self.cycle))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        return RefinementSystem, (self.prefix, self.cycle)
 
     @staticmethod
     def make(prefix: Sequence[int] = (), cycle: Sequence[int] = ()) -> "RefinementSystem":
@@ -167,6 +179,7 @@ class RefinementSystem:
         return tuple(self.cycle[r:] + self.cycle[:r] for r in range(self.cycle_len))
 
 
+@stored_hash
 @dataclass(frozen=True)
 class Point:
     """Eventually periodic digit string in canonical form.
@@ -188,12 +201,8 @@ class Point:
     by absolute position mod the minimal eventual period, so it does not
     depend on spelling (a doubled period or a period digit moved into
     the preamble gives the same key), and two points share an orbit
-    exactly when their keys are equal.
-
-    The hash is hash((preamble, period)), computed on first use and
-    stored, because points key every memo table.  It is not a field, so
-    it is in neither ==, repr nor dataclasses.fields; pickling and
-    copying keep only preamble and period and rebuild the rest.
+    exactly when their keys are equal.  Points key every memo table;
+    their hash is stored (stored_hash).
     """
 
     preamble: tuple[int, ...]
@@ -206,18 +215,6 @@ class Point:
         root = _primitive_root(self.period)
         r = len(self.preamble) % len(root)
         object.__setattr__(self, "orbit_key", root[-r:] + root[:-r] if r else root)
-
-    _hash = None
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.preamble, self.period))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        return Point, (self.preamble, self.period)
 
     def digit(self, n: int) -> int:
         if n <= len(self.preamble):
@@ -500,30 +497,15 @@ def replace_prefix(sys: RefinementSystem, x: Point, word: Sequence[int]) -> Poin
 # order intervals
 
 
+@stored_hash
 @dataclass(frozen=True)
 class OrderInterval:
-    """Points from lo to hi, each end open or closed.
-
-    Hashes like Point: hash of the field tuple, stored on first use and
-    rebuilt on unpickling or copying.
-    """
+    """Points from lo to hi, each end open or closed; the hash is stored (stored_hash)."""
 
     lo: Point
     hi: Point
     lo_open: bool = False
     hi_open: bool = False
-
-    _hash = None
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.lo, self.hi, self.lo_open, self.hi_open))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        return OrderInterval, (self.lo, self.hi, self.lo_open, self.hi_open)
 
 
 def interval(sys: RefinementSystem, lo: Point, hi: Point,

@@ -43,9 +43,9 @@ from dataclasses import dataclass, field
 from .order import RefinementError, format_point, parse_digits, parse_point, parse_system
 from .boundary import (bf_eq, bf_equiv, bf_join, bf_meet, bf_minus, bf_plus, const_bf,
                        eval_bf, format_bf, identity_bf)
-from .idealsets import (Corner, Empty, FiniteLevel, Full, OfBFClosed, OfBFOpen, Strip,
-                        StripPlus, boundary_of, close_finite_level, intersection, member,
-                        module, sandwich_check, union, validate_ideal_expr)
+from .idealsets import (Corner, Empty, FiniteLevel, Full, MatrixUnitSet, OfBFClosed, OfBFOpen,
+                        Strip, StripPlus, boundary_of, close_finite_level, intersection,
+                        member, module, sandwich_check, union, validate_ideal_expr)
 from .irreducibility import (classify_join_bf, classify_join_ideal, classify_meet_bf,
                              classify_meet_ideal, construct_family)
 from .oracle import SUITE_NAMES, describe_expr, run_suite
@@ -292,19 +292,25 @@ class _Engine:
             line, text, "ok", describe_expr(s, expr)))
 
     def _finite(self, toks, line):
-        """`finite N (W,W)...`: the level-N set closed over the pairs."""
+        """`finite N (W,W)...`: the level-N set closed over the pairs.
+
+        The closure of several pairs is the union of their own closures,
+        so each pair is closed alone and a fault it causes is reported
+        at the pair; the level's faults are reported at the level.
+        """
         s = self.sys
         lvl_tok, lvl_col = self._take(toks, 4, line, "a level")
-        if not lvl_tok.isdigit():
+        if not (lvl_tok.isascii() and lvl_tok.isdigit()):
             self._fail(line, lvl_col, "level must be a number")
-        pairs = []
+        level = int(lvl_tok)
+        closed = [self._located(line, lvl_col, close_finite_level, s, level, ())]
         for tok, tcol in toks[5:]:
             m = _WORD_PAIR.match(tok)
             if not m:
                 self._fail(line, tcol, f"expected a word pair, got {tok!r}")
-            pairs.append((parse_digits(s, m.group(1)), parse_digits(s, m.group(2))))
-        units = self._located(line, lvl_col, close_finite_level, s, int(lvl_tok), pairs)
-        return FiniteLevel(units)
+            pair = [self._located(line, tcol, parse_digits, s, word) for word in m.groups()]
+            closed.append(self._located(line, tcol, close_finite_level, s, level, [pair]))
+        return FiniteLevel(MatrixUnitSet(level, frozenset().union(*(c.pairs for c in closed))))
 
     def _decl_bf(self, line, text, toks):
         name = self._decl_name(toks, line, "boundary function")
@@ -361,7 +367,7 @@ class _Engine:
             kw, kw_col = self._take(left, 1, line, kinds[0][0])
             if kw not in ("join", "meet"):
                 self._fail(line, kw_col, "expected 'join' or 'meet'")
-            got = self._build_bf(kw, left, 2, line)
+            got = self._located(line, kw_col, self._build_bf, kw, left, 2, line)
         else:
             args = self._args(left, 1, kinds, line)
             if head == "classify":

@@ -63,6 +63,8 @@ from refbound.idealsets import (
     Union,
     boundary_of,
     intersection,
+    member,
+    module,
     union,
 )
 from refbound.irreducibility import construct_family
@@ -88,7 +90,9 @@ from refbound.order import (
     interval_intersect,
     interval_small_points,
     interval_sup,
+    le,
     level_words,
+    lt,
     max_tail_point,
     merge_level,
     orbit_test,
@@ -448,6 +452,33 @@ class TestModuleMode:
         assert "Property2a" not in {v.code for v in mod}
         ideal = validate_bf(BIN, PiecewiseBF(raw_pieces, Mode.IDEAL))
         assert "Property2a" in {v.code for v in ideal}
+
+    @pytest.mark.parametrize("text", [";2", ";2,3"])
+    def test_every_membership_test_links_by_mode(self, text):
+        # an ideal links x <= y in one orbit, a module any pair in one orbit;
+        # off those pairs the hull, the closed companion and both sets say no
+        sys, rng = parse_system(text), random.Random(text)
+        fs = [random_bf(sys, rng) for _ in range(4)]
+        fs += [boundary_of(sys, random_module_expr(sys, rng)) for _ in range(4)]
+        pool = sample_points(sys, 5, 12)
+        seen = Counter()
+        for f, x, y in itertools.product(fs, pool, pool):
+            sets = (OfBFOpen(f), OfBFClosed(f))
+            if f.mode is Mode.MODULE:
+                sets = tuple(map(module, sets))
+            verdicts = [sigma_member(sys, f, x, y)] + [member(sys, e, x, y) for e in sets]
+            eta = eta_member(sys, f, x, y)
+            reversed_pair = orbit_test(x, y) and lt(y, x)
+            if not orbit_test(x, y) or (reversed_pair and f.mode is Mode.IDEAL):
+                assert all(v.is_no for v in verdicts) and eta is False
+            elif reversed_pair:
+                assert eta == le(x, eval_bf(sys, f, y))
+            seen[f.mode, orbit_test(x, y), reversed_pair, eta] += 1
+        # both modes met reversed and two-orbit pairs, and module mode linked
+        # some reversed pairs and refused others
+        assert all(seen[mode, False, False, False] for mode in Mode)
+        assert seen[Mode.IDEAL, True, True, False]
+        assert seen[Mode.MODULE, True, True, True] and seen[Mode.MODULE, True, True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,10 @@ ERROR_CASES = [
      "expected identity_form, phi_ab, psi_paab or reducible"),
     ("system ;2\nbf f = identity\nclassify join f expect phi_ab", 3, 24,
      "expected minimal_form, phi_at or reducible"),
+    # a library error inside a verb is located at the token that caused it
+    ("system ;2\npoint a = |12\nideal S = strip a a\nideal M = module S\n"
+     "bf f = identity\nbf g = boundary M\nlattice join f g expect f", 7, 9,
+     "cannot combine functions across modes"),
 ]
 # one statement after a prelude that binds a point a, an ideal S and a
 # function f: for every statement, a missing argument (located just past
@@ -131,6 +135,9 @@ ERROR_CASES += [(_PRELUDE + statement, 5, col, message) for statement, col, mess
     ("ideal A = intersection zz S", 24, "unknown ideal expression 'zz'"),
     ("ideal A = finite", 17, "expected a level"),
     ("ideal A = finite x", 18, "level must be a number"),
+    ("ideal A = finite \u00b2 (1,2)", 18, "level must be a number"),
+    ("ideal A = finite 1 (3,1)", 20, "digit 3 out of range at position 1"),
+    ("ideal A = finite 1 (1.,2)", 20, "digit string '1.': '' is not a number"),
     ("ideal A = finite 2 (12,21) junk", 28, "expected a word pair, got 'junk'"),
     ("bf g = identity junk", 17, "unexpected 'junk'"),
     ("bf g = const", 13, "expected a point"),
@@ -469,14 +476,12 @@ class TestCLI:
     @pytest.mark.parametrize("argv,message", [
         (["suite", "lemma8", "--system", ";2", "--system", ";2,x"],
          "--system: system literal ';2,x': 'x' is not a number"),
-        (["fixture", "trivial", "--run", "--system", "3,y;2"],
-         "system literal '3,y;2': 'y' is not a number"),
         (["run", "SCENARIO"], "line 2, column 11: point literal '|x': 'x' is not a number"),
         (["suite", "prop1", "--system", ";2", "--system", ";1"],
          "--system: system literal ';1': all multiplicities must be >= 2"),
         (["run", "DIGIT"],
          "line 2, column 11: point literal '|3': digit 3 at position 1 outside 1..2"),
-    ], ids=["suite", "fixture", "run", "suite-value", "run-digit"])
+    ], ids=["suite", "run", "suite-value", "run-digit"])
     def test_bad_literal_is_named(self, tmp_path, capsys, argv, message):
         scenario = tmp_path / "bad.scn"
         scenario.write_text("system ;2\npoint a = |x\n")
@@ -488,6 +493,19 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert err == f"error: {message}\n"
         # every literal is read before any work: no suite ran
+        assert out == ""
+
+    # every fixture declares its system, so only run and suite take --system
+    @pytest.mark.parametrize("argv", [
+        ["fixture", "trivial", "--run", "--system", "3,y;2"],
+        ["paper-examples", "all", "--system", ";2"],
+    ], ids=lambda argv: argv[0])
+    def test_system_flag_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as refusal:
+            main(argv)
+        assert refusal.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"unrecognized arguments: --system {argv[-1]}" in err
         assert out == ""
 
     def test_paper_examples_groups(self, capsys):

@@ -429,7 +429,7 @@ class TestTailSets:
 
 def viol(expr, u, v):
     """Violating tails of the block (u, v) of an order-mode expression on BIN."""
-    return _viol(BIN, BIN.shift(len(u)), expr, u, v, Mode.IDEAL)
+    return _viol(BIN, BIN.shift(len(u)), expr, u, v)
 
 
 class TestRestriction:
