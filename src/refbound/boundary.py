@@ -178,8 +178,13 @@ class Verdict:
         return self.kind == "unknown"
 
 
+# Verdicts are immutable, so the yes verdicts of the levels most searches
+# end at are built once, at import; deeper levels get a fresh one.
+_YES = tuple(Verdict("yes", m) for m in range(64))
+
+
 def verdict_yes(level: int) -> Verdict:
-    return Verdict("yes", level)
+    return _YES[level] if 0 <= level < len(_YES) else Verdict("yes", level)
 
 
 VERDICT_NO = Verdict("no")
@@ -552,18 +557,20 @@ def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     level up to the bound (or up to depth_cap, which then leaves it
     unknown) would give.
     """
-    def passes(m: int) -> bool:
-        return cylinder_within_eta(sys, bf, x.word(m), y.word(m),
-                                   strictness)
-
     start = merge_level(x, y)
     if depth_cap is not None and depth_cap < start:
         return verdict_unknown(depth_cap)
-    if passes(start):
+    if cylinder_within_eta(sys, bf, x.word(start), y.word(start), strictness):
         return verdict_yes(start)
     data, bound = _level_bounds(sys, bf, x, y)
     bound = max(start, bound)
     stop = bound if depth_cap is None else min(depth_cap, bound)
+    # every level from here on is at most stop: unroll each word once
+    xw, yw = x.word(stop), y.word(stop)
+
+    def passes(m: int) -> bool:
+        return cylinder_within_eta(sys, bf, xw[:m], yw[:m], strictness)
+
     lo = start  # deepest level known to fail
     for m in range(start + 1, min(data, stop) + 1):
         if passes(m):

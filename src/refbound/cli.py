@@ -1,7 +1,8 @@
 """Command line front end.
 
 Four subcommands share one flag set (--seed, --budget, --depth-cap,
---json); run and suite also take --system:
+--json); run and suite also take --system, and fixture takes the set
+only with --run:
 
     refbound run PATH              execute a scenario file
     refbound fixture NAME [--run]  print (or run) a built-in scenario
@@ -65,6 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fix.add_argument("--run", action="store_true",
                        help="execute the fixture instead of printing it")
     common(p_fix, system=False)
+    # None marks a flag not given: without --run every one is refused
+    p_fix.set_defaults(seed=None, budget=None)
 
     p_suite = sub.add_parser("suite", help="run property suites")
     p_suite.add_argument("name", nargs="+", choices=list(SUITE_NAMES) + ["all"])
@@ -130,10 +133,15 @@ def _cmd_run(args) -> int:
 def _cmd_fixture(args) -> int:
     text = emit_fixture(args.name)
     if not args.run:
+        for flag, value in (("--seed", args.seed), ("--budget", args.budget),
+                            ("--depth-cap", args.depth_cap), ("--json", args.json_path)):
+            if value is not None:
+                raise ValueError(f"fixture: {flag} only applies with --run")
         print(text, end="" if text.endswith("\n") else "\n")
         return 0
     with _json_file(args.json_path) as out:
-        outcome = run_scenario_text(text, seed=args.seed, budget=args.budget,
+        outcome = run_scenario_text(text, seed=0 if args.seed is None else args.seed,
+                                    budget=1 if args.budget is None else args.budget,
                                     depth_cap=args.depth_cap)
         return _scenario_command(outcome, out)
 

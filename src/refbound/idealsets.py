@@ -275,6 +275,13 @@ def member(sys: RefinementSystem, expr, x: Point, y: Point,
 
 
 def _member(sys, expr, x, y, cap) -> Verdict:
+    # the sets of a function come first: they carry the read path's queries
+    if isinstance(expr, OfBFClosed):
+        return sigma_member(sys, expr.bf, x, y, cap)
+    if isinstance(expr, OfBFOpen):
+        if lt(x, eval_bf(sys, expr.bf, y)):
+            return verdict_yes(0)
+        return VERDICT_NO
     if isinstance(expr, Module):
         raise RefinementError("module wrapper must be outermost")
     if isinstance(expr, Empty):
@@ -302,12 +309,6 @@ def _member(sys, expr, x, y, cap) -> Verdict:
             if px <= u and v <= py:
                 return verdict_yes(level)
         return VERDICT_NO
-    if isinstance(expr, OfBFOpen):
-        if lt(x, eval_bf(sys, expr.bf, y)):
-            return verdict_yes(0)
-        return VERDICT_NO
-    if isinstance(expr, OfBFClosed):
-        return sigma_member(sys, expr.bf, x, y, cap)
     if isinstance(expr, Union):
         unknown = None
         for part in expr.parts:

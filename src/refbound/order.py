@@ -222,8 +222,11 @@ class Point:
         return self.period[(n - len(self.preamble) - 1) % len(self.period)]
 
     def word(self, n: int) -> tuple[int, ...]:
-        """digit(1), ..., digit(n) as one tuple."""
-        return _unroll(self.head, self.period, n)
+        """digit(1), ..., digit(n) as one tuple: a slice of head when n fits in it."""
+        head = self.head
+        if 0 <= n <= len(head):
+            return head[:n]
+        return _unroll(head, self.period, n)
 
 
 def check_digits(word: Sequence[int], ks: Sequence[int]) -> None:
@@ -231,10 +234,11 @@ def check_digits(word: Sequence[int], ks: Sequence[int]) -> None:
 
     ks holds the multiplicities k_1, k_2, ... for at least len(word) positions.
     """
-    if min(word, default=1) < 1 or not all(map(operator.le, word, ks)):
-        n, d, k = next((n, d, k) for n, (d, k) in enumerate(zip(word, ks), start=1)
-                       if not 1 <= d <= k)
-        raise DigitRangeError(f"digit {d} at position {n} outside 1..{k}")
+    for d, k in zip(word, ks):
+        if not 1 <= d <= k:
+            # counting positions would slow every clean word, so only an error counts
+            n = next(i for i, (e, j) in enumerate(zip(word, ks), start=1) if not 1 <= e <= j)
+            raise DigitRangeError(f"digit {d} at position {n} outside 1..{k}")
 
 
 def point(sys: RefinementSystem, preamble: Sequence[int], period: Sequence[int]) -> Point:
@@ -383,8 +387,10 @@ def merge_level(x: Point, y: Point) -> int:
     a, b = x.word(w), y.word(w)
     if a == b:
         return 0
-    # the last difference, as an offset from the end of the reversed words
-    return w - next(itertools.compress(itertools.count(), map(operator.ne, a[::-1], b[::-1])))
+    # the last difference, scanning back from the end
+    while a[w - 1] == b[w - 1]:
+        w -= 1
+    return w
 
 
 # ---------------------------------------------------------------------------

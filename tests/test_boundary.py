@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import itertools
 import os
 import pickle
@@ -646,6 +647,54 @@ class TestLevelSearch:
                             seen["fails at the cap"] += 1
                             assert calls[-1] == cap and len(calls) <= (data - start) + 2
         assert seen["passes at the cap"] > 0 and seen["fails at the cap"] > 0
+
+
+# sha256 over "kind@level;" of every verdict in _verdict_batches; any change
+# to a hull answer or a witness level moves it
+VERDICT_DIGEST = "553ca66cc0f9e042a6f61743799ff35060c8c5f211698e32e5b76d43bf32199b"
+
+
+def _verdict_batches():
+    """Seeded hull and certificate verdicts over SEARCH_SYSTEMS.
+
+    Per system and seed: an ideal-mode function and the boundary of a
+    module-mode expression, every ordered pair of a point pool (linked or
+    not, with and without a depth cap), random linked pairs, and the
+    modification certificate at the pool and at six gap successors.
+    """
+    for sys in SEARCH_SYSTEMS:
+        for seed in range(14, 26):
+            f, pool, pairs = _search_cases(sys, seed)
+            g = boundary_of(sys, random_module_expr(sys, random.Random(seed)))
+            for bf in (f, g):
+                for x in pool:
+                    for y in pool:
+                        for cap in (None, 2):
+                            yield sigma_member(sys, bf, x, y, depth_cap=cap)
+                for x, y in pairs:
+                    yield sigma_member(sys, bf, x, y)
+                for y in pool + [suc(sys, gap_point(sys, n)) for n in range(1, 7)]:
+                    yield modification_certificate(sys, bf, y)
+
+
+class TestVerdictGolden:
+    def test_verdicts_and_levels_are_pinned(self):
+        digest = hashlib.sha256()
+        kinds = Counter()
+        for v in _verdict_batches():
+            digest.update(f"{v.kind}@{v.level};".encode())
+            kinds[v.kind] += 1
+        assert digest.hexdigest() == VERDICT_DIGEST
+        assert sum(kinds.values()) == 12014 and set(kinds) == {"yes", "no", "unknown"}
+
+    def test_out_of_range_hand_built_points(self):
+        # (1|2, 3|2) on ;2 is linked, so its first check reads the bad
+        # digit; the reversed pair is not linked and answers no unread
+        f = identity_bf(BIN)
+        a, b = Point((1,), (2,)), Point((3,), (2,))
+        with pytest.raises(DigitRangeError, match=r"^digit 3 at position 1 outside 1\.\.2$"):
+            sigma_member(BIN, f, a, b)
+        assert sigma_member(BIN, f, b, a) == Verdict("no")
 
 
 # ---------------------------------------------------------------------------

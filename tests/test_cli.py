@@ -419,6 +419,22 @@ class TestCLI:
         # printed text re-runs clean
         assert run_scenario_text(printed).exit_code == 0
 
+    # the shared flags only apply to a fixture run, so printing refuses
+    # them, even at their default values
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "0"), ("--budget", "1"), ("--depth-cap", "5"), ("--json", "PATH"),
+    ])
+    def test_fixture_print_refuses_run_flags(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "fx.json"
+        value = str(path) if value == "PATH" else value
+        assert main(["fixture", "trivial", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: fixture: {flag} only applies with --run\n"
+        assert out == "" and not path.exists()
+        assert main(["fixture", "trivial", "--run", flag, value]) == 0
+        assert "0 failed" in capsys.readouterr().out
+        assert path.exists() == (flag == "--json")
+
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixture_run_exits_zero(self, name, capsys):
         assert main(["fixture", name, "--run"]) == 0

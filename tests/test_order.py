@@ -14,6 +14,7 @@ from refbound.order import (
     Point,
     RefinementError,
     RefinementSystem,
+    check_digits,
     compare_beyond,
     construct_between,
     construct_between_no_gap_below,
@@ -599,6 +600,68 @@ class TestAgainstDigitReference:
                                                           ref_tail_of(sys, y, m))
             assert orbit_test(x, y) == ref_orbit(x, y)
             assert outcome(merge_level, x, y) == outcome(ref_merge_level, x, y)
+
+
+class TestWordPrimitives:
+    """merge_level, check_digits and Point.word against digit-by-digit readings."""
+
+    def test_merge_level_matches_reference_on_hand_spellings(self):
+        # each pair is one tail spelled two ways (a doubled period, period
+        # digits moved into the preamble) behind preambles that differ at
+        # one or two chosen places, long equal runs included
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(400):
+            period = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            w = rng.choice((0, 1, 2, 5, 40, 300))
+            a = [rng.randint(1, 3) for _ in range(w)]
+            b = list(a)
+            for n in rng.sample(range(w), min(w, rng.randint(0, 2))):
+                b[n] = a[n] % 3 + 1
+            moved = rng.randrange(len(period) + 1)
+            x = Point(tuple(a), period)
+            y = Point(tuple(b) + period[:moved], (period[moved:] + period[:moved]) * 2)
+            want = ref_merge_level(x, y)
+            assert merge_level(x, y) == merge_level(y, x) == want
+            seen.add(min(want, 3))
+        assert seen == {0, 1, 2, 3}
+
+    def test_merge_level_of_a_first_digit_difference_behind_a_long_run(self):
+        x = Point((1,) + (2,) * 500, (1,))
+        y = Point((2,) + (2,) * 500, (1,))
+        assert merge_level(x, y) == 1
+        assert merge_level(x, Point(x.preamble + (1, 1), (1,))) == 0
+
+    @pytest.mark.parametrize("word, ks, message", [
+        ((1, 3, 0, 5), (2, 2, 2, 2), "digit 3 at position 2 outside 1..2"),
+        ((0, 3), (2, 2), "digit 0 at position 1 outside 1..2"),
+        ((2, 3, 4, 0), (2, 3, 3, 3), "digit 4 at position 3 outside 1..3"),
+        ((1,) * 499 + (12, 0), (11,) * 501, "digit 12 at position 500 outside 1..11"),
+    ])
+    def test_check_digits_names_the_first_bad_digit(self, word, ks, message):
+        with pytest.raises(DigitRangeError) as err:
+            check_digits(word, ks)
+        assert str(err.value) == message
+
+    def test_check_digits_matches_reference(self):
+        rng = random.Random(3)
+        for sys in REF_SYSTEMS:
+            for count in (0, 1, 2, 7, 40):
+                ks = sys.k_word(count)
+                for bad in (False, True):
+                    word = tuple(raw_digits(rng, sys, 1, count, bad))
+                    first = next((n for n in range(1, count + 1)
+                                  if not 1 <= word[n - 1] <= ks[n - 1]), None)
+                    want = None if first is None else (
+                        DigitRangeError,
+                        f"digit {word[first - 1]} at position {first} outside 1..{ks[first - 1]}")
+                    assert outcome(check_digits, word, ks) == want
+
+    def test_word_reads_head_then_period(self):
+        x = Point((3, 1), (2, 1, 1))
+        for n in range(12):
+            assert x.word(n) == tuple(x.digit(i) for i in range(1, n + 1))
+        assert x.word(-1) == ()
 
 
 class TestWordsAndCaches:
