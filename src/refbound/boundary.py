@@ -559,6 +559,8 @@ def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     """
     start = merge_level(x, y)
     if depth_cap is not None and depth_cap < start:
+        if depth_cap < 0:
+            raise ValueError(f"depth_cap must be at least 0, got {depth_cap}")
         return verdict_unknown(depth_cap)
     if cylinder_within_eta(sys, bf, x.word(start), y.word(start), strictness):
         return verdict_yes(start)
@@ -667,10 +669,8 @@ def modification_certificate(sys: RefinementSystem, bf: PiecewiseBF, y: Point) -
     fy = eval_bf(sys, bf, y)
     if not has_gap_above(sys, fy):
         return VERDICT_NO
-    target = suc(sys, fy)
-    if not orbit_test(target, y):
-        return VERDICT_NO
-    return _least_level(sys, bf, target, y, Strictness.RAISED)
+    # y and suc phi(y) both have a gap below, so both end in 1s: one orbit
+    return _least_level(sys, bf, suc(sys, fy), y, Strictness.RAISED)
 
 
 def is_point_of_modification(sys: RefinementSystem, bf: PiecewiseBF, y: Point) -> bool:

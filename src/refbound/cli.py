@@ -1,21 +1,21 @@
 """Command line front end.
 
-Four subcommands share one flag set (--seed, --budget, --depth-cap,
---json); run and suite also take --system, and fixture takes the set
-only with --run:
+run, suite and paper-examples share one flag set (--seed, --budget,
+--depth-cap, --json); run and suite also take --system.  fixture only
+prints, so it takes no flag:
 
     refbound run PATH              execute a scenario file
-    refbound fixture NAME [--run]  print (or run) a built-in scenario
+    refbound fixture NAME          print a built-in scenario
     refbound suite NAME...|all     run property suites directly (names,
                                    --system and --seed may repeat; reports
                                    come out by seed, then system, then
                                    suite, each in the order given)
-    refbound paper-examples GROUP  run a fixture group
+    refbound paper-examples GROUP  run a fixture group or one fixture
 
 Exit codes: 0 all assertions held, 1 an assertion or suite failed,
-2 malformed input (reported with line and column for scenario files)
-or a --json path that cannot be written.  The --json file is opened
-before any work starts, so an unwritable path costs no run.
+2 malformed input (scenario files report its line and column; a
+negative --depth-cap is one) or a --json path that cannot be written.
+The --json file is opened before any work, so a bad path costs no run.
 """
 
 from __future__ import annotations
@@ -61,20 +61,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("path")
     common(p_run)
 
-    p_fix = sub.add_parser("fixture", help="print or run a built-in scenario")
+    p_fix = sub.add_parser("fixture", help="print a built-in scenario")
     p_fix.add_argument("name", choices=list(FIXTURE_NAMES))
-    p_fix.add_argument("--run", action="store_true",
-                       help="execute the fixture instead of printing it")
-    common(p_fix, system=False)
-    # None marks a flag not given: without --run every one is refused
-    p_fix.set_defaults(seed=None, budget=None)
 
     p_suite = sub.add_parser("suite", help="run property suites")
     p_suite.add_argument("name", nargs="+", choices=list(SUITE_NAMES) + ["all"])
     common(p_suite, repeat=True)
 
-    p_pe = sub.add_parser("paper-examples", help="run a fixture group")
-    p_pe.add_argument("group", choices=sorted(FIXTURE_GROUPS))
+    p_pe = sub.add_parser("paper-examples", help="run a fixture group or one fixture")
+    p_pe.add_argument("group", choices=sorted(FIXTURE_GROUPS) + list(FIXTURE_NAMES))
     common(p_pe, system=False)
     return parser
 
@@ -112,13 +107,6 @@ def _write_json(fh, text: str) -> None:
         raise _json_error(fh.name, err) from None
 
 
-def _scenario_command(outcome: ScenarioOutcome, out) -> int:
-    _print_outcome(outcome)
-    if out is not None:
-        _write_json(out, outcome.to_json())
-    return outcome.exit_code
-
-
 def _cmd_run(args) -> int:
     with _json_file(args.json_path) as out:
         try:
@@ -127,23 +115,15 @@ def _cmd_run(args) -> int:
         except OSError as err:
             print(f"error: {err}", file=_sys.stderr)
             return 2
-        return _scenario_command(outcome, out)
+        _print_outcome(outcome)
+        if out is not None:
+            _write_json(out, outcome.to_json())
+        return outcome.exit_code
 
 
 def _cmd_fixture(args) -> int:
-    text = emit_fixture(args.name)
-    if not args.run:
-        for flag, value in (("--seed", args.seed), ("--budget", args.budget),
-                            ("--depth-cap", args.depth_cap), ("--json", args.json_path)):
-            if value is not None:
-                raise ValueError(f"fixture: {flag} only applies with --run")
-        print(text, end="" if text.endswith("\n") else "\n")
-        return 0
-    with _json_file(args.json_path) as out:
-        outcome = run_scenario_text(text, seed=0 if args.seed is None else args.seed,
-                                    budget=1 if args.budget is None else args.budget,
-                                    depth_cap=args.depth_cap)
-        return _scenario_command(outcome, out)
+    print(emit_fixture(args.name), end="")  # every fixture ends in a newline
+    return 0
 
 
 def _cmd_suite(args) -> int:
@@ -206,6 +186,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "depth_cap", None) is not None and args.depth_cap < 0:
+            raise ValueError(f"--depth-cap must be at least 0, got {args.depth_cap}")
         code = _COMMANDS[args.command](args)
         _sys.stdout.flush()
         return code

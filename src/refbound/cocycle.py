@@ -38,6 +38,7 @@ from .order import (
     RefinementSystem,
     has_gap_above,
     max_tail_point,
+    mixed_radix,
     orbit_test,
     p_min,
     word_at,
@@ -46,22 +47,13 @@ from .order import (
 Rational = Union[int, float, Fraction]
 
 
-def _mixed_radix(digits: tuple[int, ...], ks: tuple[int, ...]) -> tuple[int, int]:
-    """Rank of digits among the words over radices ks, and how many words there are."""
-    rank, count = 0, 1
-    for d, k in zip(digits, ks):
-        rank = rank * k + d - 1
-        count *= k
-    return rank, count
-
-
 def _btilde_int(sys: RefinementSystem, x: Point) -> tuple[int, int]:
     """btilde(x) as a numerator and a positive denominator, not reduced."""
     s = max(len(x.preamble), sys.prefix_len)
     n = s + len(x.period)
     xs, ks = x.word(n), sys.k_word(n)
-    h, d = _mixed_radix(xs[:s], ks[:s])
-    t, r = _mixed_radix(xs[s:], ks[s:])
+    h, d = mixed_radix(xs[:s], ks[:s])
+    t, r = mixed_radix(xs[s:], ks[s:])
     return h * (r - 1) + t, d * (r - 1)
 
 
@@ -119,7 +111,7 @@ def gap_index(sys: RefinementSystem, x: Point) -> int:
     # the shortest word w with x = w * (maximal tail) ends at the last
     # non-maximal digit; levels 1 .. j-1 hold k_1 ... k_{j-1} - 1 gap points
     j = next(n for n in range(w, 0, -1) if xs[n - 1] < ks[n - 1])
-    rank, block = _mixed_radix(xs[:j - 1], ks[:j - 1])
+    rank, block = mixed_radix(xs[:j - 1], ks[:j - 1])
     return block - 1 + rank * (ks[j - 1] - 1) + xs[j - 1]
 
 

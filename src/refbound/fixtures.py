@@ -143,8 +143,9 @@ def emit_fixture(name: str) -> str:
 
 
 def fixture_group(group: str) -> tuple:
-    if group not in FIXTURE_GROUPS:
+    """Fixture names of a group; a fixture name is a group of one."""
+    if group not in FIXTURE_GROUPS and group not in _FIXTURES:
         raise ValueError(
             f"unknown group {group!r}; choose from "
             f"{', '.join(FIXTURE_GROUPS)}")
-    return FIXTURE_GROUPS[group]
+    return FIXTURE_GROUPS.get(group, (group,))

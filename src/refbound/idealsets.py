@@ -50,6 +50,7 @@ from .order import (
     Point,
     RefinementError,
     RefinementSystem,
+    check_digits,
     cylinder_bounds,
     format_point,
     full_interval,
@@ -75,7 +76,6 @@ from .order import (
 )
 
 Word = tuple[int, ...]
-WordPair = tuple[Word, Word]
 
 # beyond this many level words the per-cylinder catalogs stop being cheap
 _MAX_LEVEL_WORDS = 10_000
@@ -104,9 +104,7 @@ def _check_word(sys: RefinementSystem, w, level: int) -> Word:
     w = tuple(w)
     if len(w) != level:
         raise RefinementError(f"word {w} is not at level {level}")
-    for i, d in enumerate(w):
-        if not 1 <= d <= sys.k_at(i + 1):
-            raise RefinementError(f"digit {d} out of range at position {i + 1}")
+    check_digits(w, sys.k_word(level))
     return w
 
 
@@ -132,19 +130,6 @@ def close_finite_level(sys: RefinementSystem, level: int, generators,
                 if vp >= v:
                     out.add((up, vp))
     return MatrixUnitSet(level, frozenset(out), mode)
-
-
-def _units_closed(sys: RefinementSystem, units: MatrixUnitSet) -> Optional[WordPair]:
-    """None when closed, else a missing dominated pair."""
-    words = _checked_words(sys, units.level)
-    for u, v in sorted(units.pairs):
-        for up in words:
-            if up > u:
-                continue
-            for vp in words:
-                if vp >= v and (up, vp) not in units.pairs:
-                    return up, vp
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -737,26 +722,18 @@ def _validate_finite(sys, units: MatrixUnitSet, mode, out: list[Violation]) -> N
         out.append(_constructor(
             f"matrix-unit set mode {units.mode.value} under {mode.value} expression"))
         return
-    if units.level < 1:
-        out.append(_constructor("level must be at least 1"))
+    # a closed set is its own closure, which reports the first bad word or pair
+    gens = sorted(units.pairs)
+    try:
+        missing = close_finite_level(sys, units.level, gens, mode).pairs - units.pairs
+    except RefinementError as err:
+        out.append(_constructor(str(err)))
         return
-    for u, v in sorted(units.pairs):
-        for w in (u, v):
-            if len(w) != units.level:
-                out.append(_constructor(f"word {w} is not at level {units.level}"))
-                return
-            for i, d in enumerate(w):
-                if not 1 <= d <= sys.k_at(i + 1):
-                    out.append(_constructor(f"digit {d} out of range in {w}"))
-                    return
-        if mode is Mode.IDEAL and u > v:
-            out.append(_constructor(f"pair {u} > {v} cannot link in an ideal set"))
-            return
-    missing = _units_closed(sys, units)
-    if missing is None:
+    if not missing:
         return
-    up, vp = missing
-    gen = next((u, v) for u, v in sorted(units.pairs) if up <= u and v <= vp)
+    # the witness is the least missing pair the first generator forces
+    gen = next(g for g in gens if any(u <= g[0] and g[1] <= v for u, v in missing))
+    up, vp = min((u, v) for u, v in missing if u <= gen[0] and gen[1] <= v)
     tau = min_tail_point(sys.shift(units.level), ())
     w, x = prepend(sys, up, tau), prepend(sys, gen[0], tau)
     y, z = prepend(sys, gen[1], tau), prepend(sys, vp, tau)
@@ -816,13 +793,11 @@ def _orbit_mates(sys, x: Point, y: Point) -> tuple[Point, Point]:
 
 
 def _sampled_downward_closure(sys, expr, out: list[Violation]) -> None:
-    mode = expr_mode(expr)
     for x, y in _sample_pairs(sys, expr):
         if not member(sys, expr, x, y).is_yes:
             continue
+        # the mates start with 1s and with maximal digits, in one orbit: linked
         w, z = _orbit_mates(sys, x, y)
-        if not linked(mode, w, z):
-            continue
         if member(sys, expr, w, z).is_no:
             out.append(Violation(
                 "IdealPropertyViolation",

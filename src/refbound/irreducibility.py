@@ -471,9 +471,8 @@ def classify_join_ideal(sys: RefinementSystem, expr) -> IdealVerdict:
     bclass = classify_join_bf(sys, boundary)
     if not (has_gap_below(sys, a) and has_gap_above(sys, t)):
         return IdealVerdict("corner", True, (a, t), None, boundary, bclass)
+    # pred a ends in maximal digits and suc t in 1s, so they never link
     pa, st = pred(sys, a), suc(sys, t)
-    if p_test(pa, st):
-        return IdealVerdict("corner", True, (a, t), None, boundary, bclass)
     w1, w2 = Corner(a, st), Corner(pa, t)
     _verify_members_equal(sys, expr, (w1, w2), "union")
     for w, probe in ((w1, (p_min(sys), st)), (w2, (pa, p_max(sys)))):
@@ -493,23 +492,12 @@ def _family_error(clause: str) -> RefinementError:
 def construct_family(sys: RefinementSystem, kind: str, *,
                      a: Optional[Point] = None, b: Optional[Point] = None,
                      t: Optional[Point] = None):
-    """Build one of the named ideal sets or boundary functions.
+    """Build one of the named boundary functions phi_ab, psi_paab, phi_at.
 
-    Parameter constraints are enforced here with the violated clause
-    named.  Under them phi_ab, psi_paab and phi_at are the boundary
-    functions of Strip(a, b), StripPlus(a, b) and Corner(a, t).
+    Parameter constraints are enforced here with the violated clause named.
+    Under them the three are the boundaries of Strip(a, b), StripPlus(a, b)
+    and Corner(a, t), sets built by their own constructors only.
     """
-    lo, hi = p_min(sys), p_max(sys)
-    if kind == "strip":
-        return Strip(a, b)
-    if kind == "strip_plus":
-        if not p_test(a, b):
-            raise _family_error("the adjoined pair must be linked")
-        return StripPlus(a, b)
-    if kind == "corner":
-        if not (lt(lo, a) and le(a, t) and lt(t, hi)):
-            raise _family_error("corner needs p_min < a <= t < p_max")
-        return Corner(a, t)
     if kind == "phi_ab":
         if not lt(a, b):
             raise _family_error("plateau needs a < b")
@@ -527,7 +515,7 @@ def construct_family(sys: RefinementSystem, kind: str, *,
             raise _family_error("Property2b: b must have a gap below")
         return boundary_of(sys, StripPlus(a, b))
     if kind == "phi_at":
-        if not (le(a, t) and lt(t, hi)):
+        if not (le(a, t) and lt(t, p_max(sys))):
             raise _family_error("the step needs a <= t < p_max")
         if has_gap_below(sys, a):
             raise _family_error("Property2b: the upper value has a gap below")

@@ -654,12 +654,18 @@ def word_count(sys: RefinementSystem, n: int) -> int:
     return sys.prod(0, n)
 
 
+def mixed_radix(digits: Sequence[int], ks: Sequence[int]) -> tuple[int, int]:
+    """Rank of digits among the words over radices ks, and how many words there are."""
+    rank, count = 0, 1
+    for d, k in zip(digits, ks):
+        rank = rank * k + d - 1
+        count *= k
+    return rank, count
+
+
 def word_rank(sys: RefinementSystem, word: Sequence[int]) -> int:
     """Zero-based lexicographic rank of word among words of its length."""
-    r = 0
-    for d, k in zip(word, sys.k_word(len(word))):
-        r = r * k + (d - 1)
-    return r
+    return mixed_radix(word, sys.k_word(len(word)))[0]
 
 
 def word_at(sys: RefinementSystem, n: int, rank: int) -> tuple[int, ...]:

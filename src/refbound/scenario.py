@@ -29,9 +29,9 @@ Grammar, one statement per line, `#` starts a comment:
     paper-examples GROUP expect ok
 
 P is a declared point name or an inline literal (it contains `|`);
-I and F are declared names; W is a digit word.  A statement takes
-exactly the arguments shown; a surplus token is an error located at
-the first one.
+I and F are declared names; W is a digit word; GROUP is a fixture
+group or fixture name.  A statement takes exactly the arguments shown;
+a surplus token is an error located at the first one.
 """
 
 from __future__ import annotations

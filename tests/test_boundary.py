@@ -538,13 +538,24 @@ class TestLevelSearch:
                 f, _, pairs = _search_cases(sys, seed)
                 for x, y in pairs:
                     start = merge_level(x, y)
-                    for cap in (None, 0, 2, 5, start - 1):
+                    # a negative cap is refused (test_negative_depth_cap_is_refused)
+                    for cap in (None, 0, 2, 5, max(start - 1, 0)):
                         want, data = _scan_levels(sys, f, x, y, Strictness.NONSTRICT, cap)
                         assert sigma_member(sys, f, x, y, depth_cap=cap) == want
                         deep = want.is_yes and want.level > max(start, data)
                         seen["deep yes" if deep else want.kind] += 1
         # every branch of the search is exercised, the bisection included
         assert all(seen[k] > 0 for k in ("yes", "deep yes", "no", "unknown"))
+
+    def test_negative_depth_cap_is_refused(self):
+        # linked pairs merging at levels 0, 1 and 2; an unlinked pair
+        # answers no before any level is searched
+        f = identity_bf(BIN)
+        for x, y in ((pt("|1"), pt("|1")), (pt("1|2"), pt("2|2")), (pt("11|2"), pt("22|2"))):
+            assert sigma_member(BIN, f, x, y, depth_cap=merge_level(x, y)).is_yes
+            with pytest.raises(ValueError, match="^depth_cap must be at least 0, got -1$"):
+                sigma_member(BIN, f, x, y, depth_cap=-1)
+        assert sigma_member(BIN, f, pt("|1"), pt("|2"), depth_cap=-1).is_no
 
     def test_modification_certificate_matches_level_scan(self):
         yes = 0

@@ -23,7 +23,8 @@ from refbound.fixtures import (
     fixture_group,
 )
 from refbound.oracle import random_bf
-from refbound.order import parse_system
+from refbound.irreducibility import construct_family
+from refbound.order import parse_point, parse_system
 from refbound.scenario import ScenarioError, run_scenario, run_scenario_text
 
 BIN = parse_system(";2")
@@ -136,7 +137,7 @@ ERROR_CASES += [(_PRELUDE + statement, 5, col, message) for statement, col, mess
     ("ideal A = finite", 17, "expected a level"),
     ("ideal A = finite x", 18, "level must be a number"),
     ("ideal A = finite \u00b2 (1,2)", 18, "level must be a number"),
-    ("ideal A = finite 1 (3,1)", 20, "digit 3 out of range at position 1"),
+    ("ideal A = finite 1 (3,1)", 20, "digit 3 at position 1 outside 1..2"),
     ("ideal A = finite 1 (1.,2)", 20, "digit string '1.': '' is not a number"),
     ("ideal A = finite 2 (12,21) junk", 28, "expected a word pair, got 'junk'"),
     ("bf g = identity junk", 17, "unexpected 'junk'"),
@@ -234,6 +235,15 @@ class TestScenarioGrammar:
         assert [r.status for r in out.results] == ["ok", "ok"]
         assert "strip" in out.results[0].detail
         assert "const" in out.results[1].detail
+
+    def test_family_phi_at(self):
+        out = run_scenario_text(
+            "system ;2\npoint a = |21\nbf g = family phi_at a 21|2\n"
+            "classify join g expect phi_at\n")
+        assert out.exit_code == 0
+        want = construct_family(BIN, "phi_at", a=parse_point(BIN, "|21"),
+                                t=parse_point(BIN, "21|2"))
+        assert out.results[0].detail == format_bf(BIN, want)
 
     def test_inline_point_literals(self):
         out = run_scenario_text(
@@ -361,6 +371,8 @@ class TestFixtures:
         assert fixture_group("section2") == ("trivial", "full")
         assert len(fixture_group("section3")) == 4
         assert fixture_group("all") == FIXTURE_NAMES
+        for name in FIXTURE_NAMES:  # a fixture name is a group of one
+            assert fixture_group(name) == (name,)
         with pytest.raises(ValueError):
             fixture_group("nowhere")
 
@@ -413,32 +425,42 @@ class TestCLI:
         assert "error" in capsys.readouterr().err
 
     def test_fixture_prints_text(self, capsys):
-        assert main(["fixture", "trivial"]) == 0
-        printed = capsys.readouterr().out
-        assert printed.strip() == emit_fixture("trivial").strip()
-        # printed text re-runs clean
-        assert run_scenario_text(printed).exit_code == 0
+        for name in FIXTURE_NAMES:
+            assert main(["fixture", name]) == 0
+            printed = capsys.readouterr().out
+            assert printed == emit_fixture(name)
+            # printed text re-runs clean
+            assert run_scenario_text(printed).exit_code == 0
 
-    # the shared flags only apply to a fixture run, so printing refuses
-    # them, even at their default values
+    # fixture only prints, so argparse refuses every shared flag before
+    # any output; paper-examples takes them
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "0"), ("--budget", "1"), ("--depth-cap", "5"), ("--json", "PATH"),
+        ("--run", None),
     ])
     def test_fixture_print_refuses_run_flags(self, tmp_path, capsys, flag, value):
         path = tmp_path / "fx.json"
         value = str(path) if value == "PATH" else value
-        assert main(["fixture", "trivial", flag, value]) == 2
+        args = [flag] if value is None else [flag, value]
+        with pytest.raises(SystemExit) as refusal:
+            main(["fixture", "trivial"] + args)
+        assert refusal.value.code == 2
         out, err = capsys.readouterr()
-        assert err == f"error: fixture: {flag} only applies with --run\n"
+        assert f"unrecognized arguments: {' '.join(args)}" in err
         assert out == "" and not path.exists()
-        assert main(["fixture", "trivial", "--run", flag, value]) == 0
-        assert "0 failed" in capsys.readouterr().out
-        assert path.exists() == (flag == "--json")
+        if value is not None:
+            assert main(["paper-examples", "trivial", flag, value]) == 0
+            assert "0 failed" in capsys.readouterr().out
+            assert path.exists() == (flag == "--json")
 
+    # one fixture runs as a group of one: its JSON is its own scenario outcome
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
-    def test_fixture_run_exits_zero(self, name, capsys):
-        assert main(["fixture", name, "--run"]) == 0
-        assert "0 failed" in capsys.readouterr().out
+    def test_fixture_run_exits_zero(self, name, tmp_path, capsys):
+        path = tmp_path / "fx.json"
+        assert main(["paper-examples", name, "--json", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"--- {name} ---\n")
+        want = run_scenario_text(emit_fixture(name)).to_json()
+        assert path.read_text() == want + "\n"
 
     def test_unknown_fixture_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -511,9 +533,26 @@ class TestCLI:
         # every literal is read before any work: no suite ran
         assert out == ""
 
+    # a negative cap is refused before any work, with the flag named; caps
+    # from 0 up still answer
+    @pytest.mark.parametrize("value", ["-1", "-7"])
+    def test_negative_depth_cap_is_refused(self, tmp_path, capsys, value):
+        path = tmp_path / "hull.scn"
+        path.write_text("system ;2\nbf f = identity\nideal H = hull f\n"
+                        "member H 1|2 2|2 expect yes\n")
+        json_path = tmp_path / "out.json"
+        for argv in (["run", str(path)], ["paper-examples", "trivial"]):
+            assert main(argv + ["--depth-cap", value, "--json", str(json_path)]) == 2
+            out, err = capsys.readouterr()
+            assert err == f"error: --depth-cap must be at least 0, got {value}\n"
+            assert out == "" and not json_path.exists()
+        assert main(["run", str(path), "--depth-cap", "0"]) == 1
+        assert "[unknown]" in capsys.readouterr().out
+        assert main(["run", str(path), "--depth-cap", "1"]) == 0
+
     # every fixture declares its system, so only run and suite take --system
     @pytest.mark.parametrize("argv", [
-        ["fixture", "trivial", "--run", "--system", "3,y;2"],
+        ["fixture", "trivial", "--system", "3,y;2"],
         ["paper-examples", "all", "--system", ";2"],
     ], ids=lambda argv: argv[0])
     def test_system_flag_is_refused(self, capsys, argv):
@@ -531,10 +570,10 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv", [
         ["run", "SCENARIO"],
-        ["fixture", "trivial", "--run"],
+        ["paper-examples", "trivial"],
         ["paper-examples", "section3"],
         ["suite", "lemma8"],
-    ], ids=lambda argv: argv[0])
+    ], ids=["run", "fixture", "paper-examples", "suite"])
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_json_path(self, tmp_path, capsys, argv, where):
         scenario = tmp_path / "ok.scn"

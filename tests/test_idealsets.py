@@ -1,5 +1,6 @@
 """Ideal-set expressions: membership, boundaries, restriction, sandwich."""
 
+import hashlib
 import random
 import re
 from functools import reduce
@@ -213,6 +214,20 @@ class TestSubLevelSets:
         assert capped.is_unknown
         full = member(BIN, OfBFClosed(psi), x, y)
         assert full.is_yes and full.level == 2
+
+    def test_depth_capped_parts_keep_the_unknown(self):
+        # a capped hull part answers unknown at the cap; a union or an
+        # intersection with no deciding part passes that unknown on
+        f = identity_bf(BIN)
+        hull, x, y = OfBFClosed(f), pt("1|2"), pt("2|2")
+        unknown = member(BIN, hull, x, y, depth_cap=0)
+        assert unknown.is_unknown and unknown.level == 0
+        for expr in (union(Empty(), hull), union(hull, hull),
+                     intersection(Full(), hull), intersection(OfBFOpen(f), hull)):
+            assert member(BIN, expr, x, y, depth_cap=0) == unknown
+        assert member(BIN, union(hull, OfBFOpen(f)), x, y, depth_cap=0).is_yes
+        assert member(BIN, intersection(hull, Empty()), x, y, depth_cap=0).is_no
+        assert member(BIN, intersection(Full(), hull), x, y, depth_cap=1).is_yes
 
 
 class TestBoundaries:
@@ -467,6 +482,20 @@ class TestRestriction:
         got = restrict_to_level(BIN, Full(), 1)
         assert sorted(got.pairs) == [((1,), (1,)), ((1,), (2,)), ((2,), (2,))]
 
+    def test_restrict_empty(self):
+        assert restrict_to_level(BIN, Empty(), 2) == MatrixUnitSet(2, frozenset())
+
+    def test_restrict_open_set_keeps_the_strict_blocks(self):
+        # u w < v w for every tail w exactly when u < v: the diagonal
+        # blocks of the hull are not strictly below the identity
+        f = identity_bf(BIN)
+        for n in (1, 2):
+            words = list(level_words(BIN, n))
+            strict = {(u, v) for u in words for v in words if u < v}
+            assert restrict_to_level(BIN, OfBFOpen(f), n).pairs == strict
+            closed = restrict_to_level(BIN, OfBFClosed(f), n).pairs
+            assert closed == strict | {(u, u) for u in words}
+
     def test_restrict_finite_level_deeper(self):
         fl = FiniteLevel(close_finite_level(BIN, 1, [((1,), (2,))]))
         got = restrict_to_level(BIN, fl, 2)
@@ -550,9 +579,12 @@ class TestValidation:
             assert validate_ideal_expr(BIN, expr) == []
 
     def test_strip_plus_pair_must_link(self):
-        bad = StripPlus(pt("|2"), pt("|1"))  # reversed, different orbits
-        codes = [v.code for v in validate_ideal_expr(BIN, bad)]
-        assert codes == ["ConstructorViolation"]
+        # reversed and in different orbits, then ordered in different orbits
+        for a, b in (("|2", "|1"), ("|12", "22|1")):
+            got = validate_ideal_expr(BIN, StripPlus(pt(a), pt(b)))
+            assert [(v.code, v.detail) for v in got] == [(
+                "ConstructorViolation",
+                f"the reinstated pair ({a}, {b}) must itself be linkable")]
 
     def test_function_with_a_hole_rejected(self):
         hole = PiecewiseBF(((interval(BIN, p_min(BIN), pt("11|2")), ID),
@@ -561,9 +593,11 @@ class TestValidation:
         assert [v.detail for v in got] == ["invalid boundary function: Partition"]
 
     def test_corner_needs_interior_thresholds(self):
-        bad = Corner(pt("|1"), pt("2|21"))
-        codes = [v.code for v in validate_ideal_expr(BIN, bad)]
-        assert codes == ["ConstructorViolation"]
+        # a = p_min, a = p_min again, t = p_max
+        for a, t in (("|1", "2|21"), ("|1", "21|2"), ("2|1", "|2")):
+            got = validate_ideal_expr(BIN, Corner(pt(a), pt(t)))
+            assert [(v.code, v.detail) for v in got] == [(
+                "ConstructorViolation", f"corner needs p_min < {a} <= {t} < p_max")]
 
     def test_wrapper_mode_must_match(self):
         phi = boundary_of(BIN, module(Full()))
@@ -582,7 +616,7 @@ class TestValidation:
          "matrix-unit set mode module under ideal expression"),
         (MatrixUnitSet(0, frozenset()), "level must be at least 1"),
         (MatrixUnitSet(2, frozenset({((1,), (2, 1))})), "word (1,) is not at level 2"),
-        (MatrixUnitSet(1, frozenset({((1,), (3,))})), "digit 3 out of range in (3,)"),
+        (MatrixUnitSet(1, frozenset({((1,), (3,))})), "digit 3 at position 1 outside 1..2"),
         (MatrixUnitSet(1, frozenset({((2,), (1,))})),
          "pair (2,) > (1,) cannot link in an ideal set"),
     ], ids=["mode", "level-0", "word-length", "digit", "reversed"])
@@ -594,6 +628,76 @@ class TestValidation:
         got = validate_ideal_expr(BIN, union(module(Full()), Empty()))
         assert [(v.code, v.detail) for v in got] == [
             ("ConstructorViolation", "module wrapper must be outermost")]
+
+
+# sha256 over the (code, detail) lists of finite_golden_cases; any change to
+# a finite level set's verdict, message or witness moves it
+FINITE_GOLDEN_DIGEST = "d7ce89b0ba07d19ee5a6ecfb4169c6a49a70a4fbb3103fbe47e5ef1ec96d0db4"
+
+
+def finite_golden_cases():
+    """Seeded level sets on five systems, at levels 1-2, in both modes.
+
+    Per seed, in turn: a closed set, a random (mostly unclosed) set, one
+    with a word of the wrong length, and one with a reversed pair.  Every
+    digit is in range; out-of-range digits are pinned on their own.
+    """
+    for text in (";2", ";2,3", "3;2", ";3", "2;2,2,3"):
+        sys = parse_system(text)
+        for level in (1, 2):
+            words = list(level_words(sys, level))
+            short = list(level_words(sys, level - 1)) if level > 1 else [()]
+            for mode in Mode:
+                rng = random.Random(f"{text}/{level}/{mode.value}")
+                linkable = [(u, v) for u in words for v in words
+                            if mode is Mode.MODULE or u <= v]
+                for seed in range(20):
+                    pairs = set(rng.sample(linkable, rng.randint(1, min(4, len(linkable)))))
+                    kind = seed % 4
+                    if kind == 0:
+                        pairs = set(close_finite_level(sys, level, sorted(pairs), mode).pairs)
+                    elif kind == 2:
+                        u, v = rng.choice(sorted(pairs))
+                        pairs.add((u, rng.choice(short)) if rng.random() < 0.5
+                                  else (rng.choice(short), v))
+                    elif kind == 3:
+                        u, v = rng.choice(words), rng.choice(words)
+                        pairs.add((max(u, v), min(u, v)))
+                    expr = FiniteLevel(MatrixUnitSet(level, frozenset(pairs), mode))
+                    yield sys, (module(expr) if mode is Mode.MODULE else expr)
+
+
+class TestFiniteGolden:
+    def test_validation_is_pinned(self):
+        digest = hashlib.sha256()
+        codes = []
+        for sys, expr in finite_golden_cases():
+            got = [(v.code, v.detail) for v in validate_ideal_expr(sys, expr)]
+            digest.update(repr(got).encode())
+            codes.append(tuple(code for code, _ in got))
+        assert digest.hexdigest() == FINITE_GOLDEN_DIGEST
+        # every outcome is represented
+        assert len(codes) == 400 and set(codes) == {
+            (), ("IdealPropertyViolation",), ("ConstructorViolation",)}
+
+    @pytest.mark.parametrize("text,units,detail", [
+        (";2", MatrixUnitSet(2, frozenset({((1, 1), (1, 3))})),
+         "digit 3 at position 2 outside 1..2"),
+        (";2,3", MatrixUnitSet(2, frozenset({((1, 3), (2, 4))})),
+         "digit 4 at position 2 outside 1..3"),
+        ("3;2", MatrixUnitSet(1, frozenset({((0,), (2,))}), Mode.MODULE),
+         "digit 0 at position 1 outside 1..3"),
+    ], ids=["level-2", "wide", "module"])
+    def test_out_of_range_digits_read_as_point_literals(self, text, units, detail):
+        expr = FiniteLevel(units)
+        expr = module(expr) if units.mode is Mode.MODULE else expr
+        got = validate_ideal_expr(parse_system(text), expr)
+        assert [(v.code, v.detail) for v in got] == [("ConstructorViolation", detail)]
+
+    def test_too_many_words_is_a_violation(self):
+        got = validate_ideal_expr(BIN, FiniteLevel(MatrixUnitSet(20, frozenset())))
+        assert [(v.code, v.detail) for v in got] == [
+            ("ConstructorViolation", "level 20 has too many words to enumerate")]
 
 
 class TestGraphSets:

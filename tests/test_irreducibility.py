@@ -490,23 +490,15 @@ class TestConstructFamily:
         with pytest.raises(RefinementError, match="Property2a"):
             construct_family(BIN, "psi_paab", a=pt("2|1"), b=pt("21|2"))
 
-    def test_corner_bounds(self):
-        with pytest.raises(RefinementError, match="corner"):
-            construct_family(BIN, "corner", a=pt("|1"), t=pt("21|2"))
-        with pytest.raises(RefinementError, match="corner"):
-            construct_family(BIN, "corner", a=pt("2|1"), t=pt("|2"))
-
-    def test_strip_plus_needs_linked_pair(self):
-        with pytest.raises(RefinementError, match="linked"):
-            construct_family(BIN, "strip_plus", a=pt("|12"), b=pt("22|1"))
-
     def test_degenerate_step_form_is_minimal(self):
         f = construct_family(BIN, "phi_at", a=p_min(BIN), t=pt("21|2"))
         assert bf_eq(BIN, f, const_bf(BIN, p_min(BIN)))
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            construct_family(BIN, "sideways")
+        # the sets are built by their own constructors, not as families
+        for kind in ("sideways", "strip", "strip_plus", "corner"):
+            with pytest.raises(ValueError, match=f"unknown family: '{kind}'"):
+                construct_family(BIN, kind, a=pt("|12"), b=pt("2|21"), t=pt("2|21"))
 
     def test_families_classify_as_themselves(self):
         f = construct_family(BIN, "phi_ab", a=pt("|21"), b=pt("2|21"))

@@ -22,6 +22,7 @@ from refbound.boundary import (
     bf_plus,
     eval_bf,
     format_bf,
+    linked,
     normalize_bf,
     parse_bf,
     pointwise_le,
@@ -31,6 +32,7 @@ from refbound.cocycle import b_approx, btilde, ctilde, gap_index, gap_point, ord
 from refbound.idealsets import (
     OfBFClosed,
     OfBFOpen,
+    _orbit_mates,
     boundary_of,
     expr_mode,
     member,
@@ -51,6 +53,7 @@ from refbound.order import (
     order_compare,
     p_max,
     p_min,
+    p_test,
     parse_point,
     parse_system,
     pred,
@@ -376,3 +379,36 @@ def test_point_sampling_is_deterministic(lit, seed, count):
     s = SYSTEMS[lit]
     assert sample_points(s, seed, count) == sample_points(s, seed, count)
     assert len(sample_points(s, seed, count)) >= count
+
+
+CI_SYSTEMS = {lit: parse_system(lit) for lit in (
+    ";2", ";2,3", "3;2", ";3", "2;2,2,3", ";11", "12;2,13", ";2,3,5")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(CI_SYSTEMS)), seeds)
+def test_deleted_branch_conditions_never_hold(lit, seed):
+    """The library asks none of these three questions, since the answer
+    is fixed; each is checked here on points where it would come up."""
+    s = CI_SYSTEMS[lit]
+    f = random_bf(s, random.Random(seed))
+    sample = sample_points(s, seed, 8) + [gap_point(s, n) for n in range(1, 7)]
+    above = [x for x in sample if has_gap_above(s, x)]
+    below = [x for x in sample if has_gap_below(s, x)] + [suc(s, x) for x in above]
+    assert above and below
+    # modification_certificate: y and suc phi(y) both have a gap below,
+    # so both end in 1s and share an orbit
+    for y in below:
+        fy = eval_bf(s, f, y)
+        for c in above + ([fy] if has_gap_above(s, fy) else []):
+            assert orbit_test(suc(s, c), y)
+    # classify_join_ideal: pred a ends in maximal digits and suc t in 1s
+    for a in below:
+        for t in above:
+            assert not p_test(pred(s, a), suc(s, t))
+    # _sampled_downward_closure: orbit mates of a linked pair are linked
+    for x in sample:
+        for y in sample:
+            for mode in Mode:
+                if linked(mode, x, y):
+                    assert linked(mode, *_orbit_mates(s, x, y))
