@@ -1,8 +1,9 @@
 """Command line front end.
 
 run, suite and paper-examples share one flag set (--seed, --budget,
---depth-cap, --json); run and suite also take --system.  fixture only
-prints, so it takes no flag:
+--json); run and suite also take --system, and run and paper-examples
+--depth-cap, which only membership verdicts read.  fixture only prints,
+so it takes no flag:
 
     refbound run PATH              execute a scenario file
     refbound fixture NAME          print a built-in scenario
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "limit systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, repeat=False, system=True):
+    def common(p, repeat=False, system=True, depth_cap=True):
         if system:
             p.add_argument("--system", metavar="LITERAL", default=None,
                            action="append" if repeat else "store",
@@ -52,8 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="repeat for several seeds" if repeat else None)
         p.add_argument("--budget", type=int, default=1,
                        help="sampling multiplier for suites")
-        p.add_argument("--depth-cap", type=int, default=None, dest="depth_cap",
-                       help="search depth cap for membership verdicts")
+        if depth_cap:
+            p.add_argument("--depth-cap", type=int, default=None, dest="depth_cap",
+                           help="search depth cap for membership verdicts")
         p.add_argument("--json", metavar="PATH", default=None, dest="json_path",
                        help="also write machine-readable results to PATH")
 
@@ -66,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run property suites")
     p_suite.add_argument("name", nargs="+", choices=list(SUITE_NAMES) + ["all"])
-    common(p_suite, repeat=True)
+    common(p_suite, repeat=True, depth_cap=False)
 
     p_pe = sub.add_parser("paper-examples", help="run a fixture group or one fixture")
     p_pe.add_argument("group", choices=sorted(FIXTURE_GROUPS) + list(FIXTURE_NAMES))

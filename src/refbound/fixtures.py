@@ -147,5 +147,5 @@ def fixture_group(group: str) -> tuple:
     if group not in FIXTURE_GROUPS and group not in _FIXTURES:
         raise ValueError(
             f"unknown group {group!r}; choose from "
-            f"{', '.join(FIXTURE_GROUPS)}")
+            f"{', '.join(FIXTURE_GROUPS)} or a fixture: {', '.join(FIXTURE_NAMES)}")
     return FIXTURE_GROUPS.get(group, (group,))

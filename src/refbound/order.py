@@ -35,6 +35,14 @@ class EmptyIntervalError(RefinementError):
     pass
 
 
+# Every Point stores at least its first HEAD_LEN digits, and every system
+# its first HEAD_LEN multiplicities, so most words the order primitives
+# read are slices.  On the benchmark's suites, read and write paths no
+# word or k_word call asks for more than 14 digits; its hostile plateau
+# scans reach 506, but 86 % of their calls ask for at most 32.
+HEAD_LEN = 32
+
+
 def _unroll(head: tuple[int, ...], loop: tuple[int, ...], n: int) -> tuple[int, ...]:
     # first n terms of head followed by loop repeated forever
     if n <= len(head):
@@ -120,7 +128,13 @@ class RefinementSystem:
         return max(self.prefix + self.cycle)
 
     def k_word(self, n: int) -> tuple[int, ...]:
-        """The multiplicities at positions 1..n as one tuple."""
+        """The multiplicities at positions 1..n as one tuple.
+
+        A slice of the stored first HEAD_LEN multiplicities when n fits in
+        them, unrolled from prefix and cycle only beyond.
+        """
+        if 0 <= n <= HEAD_LEN:
+            return self._k_head[:n]
         return _unroll(self.prefix, self.cycle, n)
 
     def k_at(self, n: int) -> int:
@@ -161,6 +175,10 @@ class RefinementSystem:
         return {}
 
     @cached_property
+    def _k_head(self) -> tuple[int, ...]:
+        return _unroll(self.prefix, self.cycle, HEAD_LEN)
+
+    @cached_property
     def _p_min(self) -> "Point":
         return point(self, (), (1,) * self.cycle_len)
 
@@ -193,16 +211,20 @@ class Point:
     which is how the order primitives below read them.
 
     Two fields are set once at construction and take no part in ==,
-    hash or repr.  head is preamble + period, the first len(head)
-    digits, so order_compare can read it without unrolling.  orbit_key
-    is the primitive root r of the period (length d) rotated right by
-    len(preamble) mod d, so orbit_key[j] is the digit at every position
-    n = j + 1 (mod d) past the preamble.  It is the tail itself, indexed
-    by absolute position mod the minimal eventual period, so it does not
-    depend on spelling (a doubled period or a period digit moved into
-    the preamble gives the same key), and two points share an orbit
-    exactly when their keys are equal.  Points key every memo table;
-    their hash is stored (stored_hash).
+    hash or repr.  head is the first max(HEAD_LEN, len(preamble) +
+    len(period)) digits, so order_compare and word(n) for n up to
+    len(head) read a slice instead of unrolling; it costs one tuple of
+    at least HEAD_LEN small ints per point, about 0.3 KB.  head need not
+    end on a period boundary, so equal heads alone do not make equal
+    points (see order_compare).
+    orbit_key is the primitive root r of the period (length d) rotated
+    right by len(preamble) mod d, so orbit_key[j] is the digit at every
+    position n = j + 1 (mod d) past the preamble.  It is the tail
+    itself, indexed by absolute position mod the minimal eventual
+    period, so it does not depend on spelling (a doubled period or a
+    period digit moved into the preamble gives the same key), and two
+    points share an orbit exactly when their keys are equal.  Points
+    key every memo table; their hash is stored (stored_hash).
     """
 
     preamble: tuple[int, ...]
@@ -211,7 +233,8 @@ class Point:
     orbit_key: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "head", self.preamble + self.period)
+        n = max(HEAD_LEN, len(self.preamble) + len(self.period))
+        object.__setattr__(self, "head", _unroll(self.preamble, self.period, n))
         root = _primitive_root(self.period)
         r = len(self.preamble) % len(root)
         object.__setattr__(self, "orbit_key", root[-r:] + root[:-r] if r else root)
@@ -222,11 +245,15 @@ class Point:
         return self.period[(n - len(self.preamble) - 1) % len(self.period)]
 
     def word(self, n: int) -> tuple[int, ...]:
-        """digit(1), ..., digit(n) as one tuple: a slice of head when n fits in it."""
+        """digit(1), ..., digit(n) as one tuple.
+
+        A slice of head when n fits in it; beyond, unrolled from preamble
+        and period, since head need not end on a period boundary.
+        """
         head = self.head
         if 0 <= n <= len(head):
             return head[:n]
-        return _unroll(head, self.period, n)
+        return _unroll(self.preamble, self.period, n)
 
 
 def check_digits(word: Sequence[int], ks: Sequence[int]) -> None:
@@ -301,7 +328,7 @@ def _joint_words(x: Point, y: Point) -> tuple[int, tuple[int, ...], tuple[int, .
     # first difference
     w = max(len(x.preamble), len(y.preamble))
     span = w + _periodic_span(x, y)
-    return w, _unroll(x.head, x.period, span), _unroll(y.head, y.period, span)
+    return w, x.word(span), y.word(span)
 
 
 def first_difference(x: Point, y: Point) -> Optional[int]:
@@ -317,25 +344,33 @@ def first_difference(x: Point, y: Point) -> Optional[int]:
 def order_compare(x: Point, y: Point) -> int:
     """-1, 0 or 1 as the digit string of x is below, equal to or above y's.
 
-    Interned points are often the same object.  Otherwise the heads cut
-    to the shorter length hold both points' first digits exactly, so
-    they decide whenever they differ; equal cut heads with equal
-    preamble and period lengths are equal points.  When only the lengths
-    differ, the longer head against the other point's word of its length
-    decides next, unrolling one word.  Only what is left unrolls the
-    joint words.
+    Interned points are often the same object.  Otherwise each head holds
+    its point's first len(head) digits exactly, and most heads are
+    HEAD_LEN long: heads of one length that differ decide in one tuple
+    comparison.  Equal heads make equal points when the period lengths
+    agree: each head reaches one whole period p past both preambles, and
+    two p-periodic strings that agree on p places are equal.  Equal heads
+    with different period lengths need not be equal points: minimal
+    periods 20 and 30 on ;2 can share their first 32 digits and differ
+    at the 40th.  When only the head lengths differ, the longer head
+    against the other point's word of its length decides next, unrolling
+    one word.  Only what is left unrolls the joint words.
     """
     if x is y:
         return 0
     a, b = x.head, y.head
-    if len(a) > len(b):
+    if len(a) == len(b):
+        if a < b:
+            return -1
+        if a > b:
+            return 1
+        if len(x.period) == len(y.period):
+            return 0
+    elif len(a) > len(b):
         if a[:len(b)] == b:
             b = y.word(len(a))
-    elif len(b) > len(a):
-        if b[:len(a)] == a:
-            a = x.word(len(b))
-    elif a == b and len(x.preamble) == len(y.preamble):
-        return 0
+    elif b[:len(a)] == a:
+        a = x.word(len(b))
     if a == b:
         _, a, b = _joint_words(x, y)
         if a == b:

@@ -83,7 +83,8 @@ ERROR_CASES = [
     ("system ;2\nbf f = identity\nbf f = identity", 3, 4, "name 'f' is already bound"),
     ("system ;2\nbf f = identity\nequiv f f expect maybe", 3, 18, "expected 'yes' or 'no'"),
     ("paper-examples nowhere expect ok", 1, 16,
-     "unknown group 'nowhere'; choose from section2, section3, all"),
+     "unknown group 'nowhere'; choose from section2, section3, all or a fixture: "
+     "trivial, full, maximal-gap, maximal-nogap, strip-pair, prime-variant"),
     # surplus tokens, located at the first one
     ("system ;2 ;3", 1, 11, "unexpected ';3'"),
     ("system ;2\npoint a = |1 |2", 2, 14, "unexpected '|2'"),
@@ -199,7 +200,8 @@ ERROR_CASES += [(_PRELUDE + statement, 5, col, message) for statement, col, mess
     ("suite prop1 expect yes", 20, "suites can only expect 'ok'"),
     ("paper-examples expect ok", 15, "expected a fixture group"),
     ("paper-examples nowhere expect ok", 16,
-     "unknown group 'nowhere'; choose from section2, section3, all"),
+     "unknown group 'nowhere'; choose from section2, section3, all or a fixture: "
+     "trivial, full, maximal-gap, maximal-nogap, strip-pair, prime-variant"),
     ("paper-examples all all expect ok", 20, "unexpected 'all'"),
     ("paper-examples all expect yes", 27, "fixture groups can only expect 'ok'"),
     ("classify meet expect phi_ab", 14, "expected a name"),
@@ -562,6 +564,16 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert f"unrecognized arguments: --system {argv[-1]}" in err
         assert out == ""
+
+    # suites run no membership query with a cap, so suite refuses the cap
+    def test_suite_refuses_depth_cap(self, tmp_path, capsys):
+        path = tmp_path / "suite.json"
+        with pytest.raises(SystemExit) as refusal:
+            main(["suite", "prop1", "--depth-cap", "3", "--json", str(path)])
+        assert refusal.value.code == 2
+        out, err = capsys.readouterr()
+        assert "unrecognized arguments: --depth-cap 3" in err
+        assert out == "" and not path.exists()
 
     def test_paper_examples_groups(self, capsys):
         for group in sorted(FIXTURE_GROUPS):

@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import pickle
 import random
 from math import lcm
 
 import pytest
 
 from refbound.order import (
+    HEAD_LEN,
     _canonical_point,
     _joint_words,
     DigitRangeError,
@@ -708,20 +710,28 @@ def respelled(x):
 
 
 class TestInternedPoints:
-    def test_head_is_preamble_then_period(self):
+    def test_head_is_the_first_digits(self):
         x = pt(K23, "212|31")
-        assert x.head == (2, 1, 2, 3, 1) and x.head == x.word(5)
-        assert Point((1,), (2,)).head == (1, 2)
+        assert len(x.head) == HEAD_LEN and x.head == x.word(HEAD_LEN)
+        assert x.head == tuple(x.digit(n) for n in range(1, HEAD_LEN + 1))
+        assert Point((1,), (2,)).head == (1,) + (2,) * (HEAD_LEN - 1)
+        # a head reaches past the preamble and one whole period
+        long = Point((1,) * 30, (2, 1, 2, 1, 1))
+        assert long.head == (1,) * 30 + (2, 1, 2, 1, 1)
         assert "head" not in repr(x)
 
     def test_equal_heads_different_points(self):
-        x, y = pt(BIN, "1|2"), pt(BIN, "|12")
+        # minimal periods 20 and 30 agree on their first 39 digits
+        x, y = pt(BIN, "|" + "1" * 19 + "2"), pt(BIN, "|" + "1" * 19 + "2" + "1" * 10)
         assert x.head == y.head and x != y
+        assert len(x.preamble) == len(y.preamble) and len(x.period) != len(y.period)
         assert_order_matches_reference(x, y)
-        assert order_compare(x, y) == 1
+        assert order_compare(x, y) == 1 and first_difference(x, y) == 40
 
     def test_head_a_proper_prefix_of_the_other(self):
-        for a, b in (("|12", "12|1"), ("|1", "1|2"), ("|12", "1212|2"), ("|2", "2|1")):
+        for a, b in (("|12", "12" * 16 + "|1"), ("|1", "1" * 32 + "|2"),
+                     ("|12", "12" * 17 + "|2"), ("|2", "2" * 40 + "|1"),
+                     ("|1", "|" + "1" * 32 + "2")):
             x, y = pt(BIN, a), pt(BIN, b)
             assert y.head[:len(x.head)] == x.head and len(y.head) > len(x.head)
             assert_order_matches_reference(x, y)
@@ -934,9 +944,10 @@ def count_joint_words(monkeypatch):
 
 class TestHeadCompare:
     @pytest.mark.parametrize("sys,a,b", [
-        (BIN, "|1", "1|2"), (BIN, "|2", "2|1"), (BIN, "|12", "1211|2"),
-        (BIN, "|21", "211|2"), (BIN, "|12", "122|1"), (K23, "|12", "12|13"),
-        (K23, "|13", "13|12"),
+        (BIN, "|1", "1" * 32 + "|2"), (BIN, "|2", "2" * 32 + "|1"),
+        (BIN, "|12", "12" * 16 + "11|2"), (BIN, "|21", "21" * 16 + "1|2"),
+        (BIN, "|12", "12" * 16 + "2|1"), (K23, "|12", "12" * 16 + "|13"),
+        (K23, "|13", "13" * 16 + "|12"),
     ])
     def test_longer_head_decides(self, monkeypatch, sys, a, b):
         x, y = pt(sys, a), pt(sys, b)
@@ -947,11 +958,12 @@ class TestHeadCompare:
         assert calls == []
 
     @pytest.mark.parametrize("sys,a,b", [
-        (BIN, "|12", "12|1"),   # the longer head agrees with x's word
-        (BIN, "|12", "121|2"),
-        (K23, "|1312", "1312|13"),
-        (BIN, "1|2", "|12"),    # equal head lengths, preambles differ
-        (BIN, "2|1", "|21"),
+        (BIN, "|12", "12" * 16 + "|121"),   # the longer head agrees with x's word
+        (BIN, "|12", "12" * 16 + "1|2"),
+        (K23, "|1312", "1312" * 8 + "|13"),
+        # equal head lengths, period lengths differ
+        (BIN, "|" + "1" * 19 + "2", "|" + "1" * 19 + "2" + "1" * 10),
+        (BIN, "|" + "1" * 9 + "2", "111|" + "1" * 6 + "2" + ("1" * 9 + "2") * 2),
     ])
     def test_joint_words_when_heads_agree(self, monkeypatch, sys, a, b):
         x, y = pt(sys, a), pt(sys, b)
@@ -965,7 +977,118 @@ class TestHeadCompare:
         x = pt(K23, "21|1312")
         calls = count_joint_words(monkeypatch)
         assert order_compare(x, Point(x.preamble, x.period)) == 0
+        # equal heads and period lengths, preamble lengths differ
+        assert order_compare(x, respelled(x)) == 0
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# heads of at least HEAD_LEN digits, against digit-by-digit readings
+
+
+def digit_word(x, n):
+    return tuple(x.digit(i) for i in range(1, n + 1))
+
+
+ACROSS_HEAD = (0, 1, HEAD_LEN - 1, HEAD_LEN, HEAD_LEN + 1, 2 * HEAD_LEN + 7, 300)
+LONG_PERIOD_SYSTEMS = [parse_system(t) for t in (";2", ";2,3", "3;2", ";2,3,5")]
+
+
+def sparse_period(rng, sys, start, length):
+    """A period of mostly 1s, so that points share long runs of digits."""
+    return [rng.randint(1, sys.k_at(n)) if rng.random() < 0.15 else 1
+            for n in range(start, start + length)]
+
+
+def long_period_points(sys, rng, count):
+    """Canonical points with periods up to 40 digits and preambles past HEAD_LEN."""
+    L = sys.cycle_len
+    points = [p_min(sys), p_max(sys)]
+    while len(points) < count:
+        r = rng.random()
+        if len(points) > 4 and r < 0.3:
+            # share the first digits of an earlier point, often all of its head
+            base = rng.choice(points)
+            pre = base.word(rng.choice((5, HEAD_LEN - 1, HEAD_LEN, HEAD_LEN + 3)))
+        elif len(points) > 4 and r < 0.6:
+            # an earlier point's period extended by its own first digits, as
+            # 1^19 2 1^10 extends 1^19 2: both agree past one whole period
+            base = rng.choice(points)
+            room = min(len(base.period), 40 - len(base.period)) // L
+            if room < 1:
+                continue
+            q = L * rng.randint(1, room)
+            x = outcome(point, sys, base.preamble, base.period + base.period[:q])
+            if isinstance(x, Point):
+                points.append(x)
+            continue
+        else:
+            pre = raw_digits(rng, sys, 1, rng.choice((0, 1, 4, 30, 36)), bad=False)
+        per = sparse_period(rng, sys, len(pre) + 1, L * rng.randint(1, 40 // L))
+        x = outcome(point, sys, pre, per)
+        if isinstance(x, Point):
+            points.append(x)
+    return points
+
+
+class TestHead:
+    def test_periods_20_and_30(self):
+        x = pt(BIN, "|" + "1" * 19 + "2")
+        y = pt(BIN, "|" + "1" * 19 + "2" + "1" * 10)
+        assert (len(x.period), len(y.period)) == (20, 30) and x.head == y.head
+        # behind one preamble the heads still agree
+        xs, ys = prepend(BIN, (2, 1), x), prepend(BIN, (2, 1), y)
+        assert xs.head == ys.head
+        for a, b in ((x, y), (xs, ys), (x, Point(x.preamble, x.period)), (ys, xs)):
+            for u, v in ((a, b), (b, a)):
+                want = ref_compare(u, v)
+                assert order_compare(u, v) == want, (u, v)
+                assert le(u, v) == (want <= 0) and lt(u, v) == (want < 0)
+                assert first_difference(u, v) == ref_first_difference(u, v)
+        assert first_difference(x, y) == 40 and first_difference(xs, ys) == 42
+        assert lt(y, x) and lt(ys, xs)
+
+    @pytest.mark.parametrize("sys", LONG_PERIOD_SYSTEMS + [parse_system("12;2,13")],
+                             ids=format_system)
+    def test_words_across_the_head(self, sys):
+        rng = random.Random("head-words|" + format_system(sys))
+        points = long_period_points(sys, rng, 24)
+        built = [Point(x.preamble, x.period * 2) for x in points]
+        built += [Point(tuple(raw_digits(rng, sys, 1, n, bad=False)), x.period)
+                  for n, x in zip((33, 40, 70), points)]
+        copies = [pickle.loads(pickle.dumps(x)) for x in points + built]
+        assert max(len(x.preamble) for x in points + built) > HEAD_LEN
+        for x in points + built + copies:
+            assert len(x.head) == max(HEAD_LEN, len(x.preamble) + len(x.period))
+            assert x.head == digit_word(x, len(x.head))
+            for n in ACROSS_HEAD + (len(x.head) + 1,):
+                assert x.word(n) == digit_word(x, n), (x, n)
+        # a prefix past HEAD_LEN: its last multiplicity is not the cycle's
+        long = RefinementSystem.make(sys.k_word(39) + (sys.cycle[-1] + 1,), sys.cycle)
+        assert long.prefix_len == 40
+        for s in (sys, pickle.loads(pickle.dumps(sys)), long):
+            for n in ACROSS_HEAD:
+                assert s.k_word(n) == tuple(s.k_at(i) for i in range(1, n + 1)), n
+
+    @pytest.mark.parametrize("sys", LONG_PERIOD_SYSTEMS, ids=format_system)
+    def test_long_periods_match_reference(self, sys):
+        rng = random.Random("head-pairs|" + format_system(sys))
+        points = long_period_points(sys, rng, 40)
+        built = [Point(x.preamble, x.period * 2) for x in points[:10]]
+        built += [respelled(x) for x in points[:10]]
+        # every pair whose heads do not decide, and random pairs
+        pairs = [(x, y) for x in points for y in points + built
+                 if x.head[:len(y.head)] == y.head[:len(x.head)]]
+        undecided = len(pairs)
+        pairs += [(rng.choice(points), rng.choice(points + built)) for _ in range(300)]
+        unequal = 0
+        for i, (x, y) in enumerate(pairs):
+            want = ref_compare(x, y)
+            assert order_compare(x, y) == want and order_compare(y, x) == -want, (x, y)
+            assert le(x, y) == (want <= 0) and lt(x, y) == (want < 0)
+            assert first_difference(x, y) == ref_first_difference(x, y), (x, y)
+            unequal += i < undecided and want != 0
+        assert unequal > 20
 
 
 # ---------------------------------------------------------------------------
