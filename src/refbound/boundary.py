@@ -16,7 +16,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 from typing import Optional, Sequence
 
 from .order import (
@@ -29,6 +29,7 @@ from .order import (
     compare_beyond,
     construct_between_no_gap_below,
     cylinder_bounds,
+    first_difference,
     format_point,
     has_gap_above,
     has_gap_below,
@@ -428,10 +429,8 @@ def bf_minus(sys: RefinementSystem, f: PiecewiseBF) -> PiecewiseBF:
 # end, or the cylinder max, whose tail is the maximal point's) with
 # those of the value.  Both cylinder extremes are attained, and once an
 # open end with a gap on its open side is closed onto its neighbour, a
-# cell is empty only when both its ends lie inside and cross: an open
-# end inside the cylinder could face the extreme it sits on only as
-# p_min or p_max, and then no point lies beyond that extreme for the
-# other end to occupy.
+# piece is empty only when its ends cross; an empty piece meets no
+# cylinder, so it is dropped.
 
 
 # What a level search reads off the function depends only on the system
@@ -442,9 +441,9 @@ def _search_data(sys: RefinementSystem, bf: PiecewiseBF) -> tuple[tuple, int, in
     """(closed pieces, longest preamble, period lcm) of the function.
 
     Each closed piece is (lo, lo_open, hi, hi_open, leaf) with every open
-    end that has a gap on its open side closed onto its neighbour.  The
-    preamble and the lcm run over the system and the points the function
-    is built from.
+    end that has a gap on its open side closed onto its neighbour; pieces
+    whose closed ends cross are left out.  The preamble and the lcm run
+    over the system and the points every piece is built from.
     """
     closed = []
     pre, per = sys.prefix_len, sys.cycle_len
@@ -454,7 +453,9 @@ def _search_data(sys: RefinementSystem, bf: PiecewiseBF) -> tuple[tuple, int, in
             lo, lo_open = suc(sys, lo), False
         if hi_open and has_gap_below(sys, hi):
             hi, hi_open = pred(sys, hi), False
-        closed.append((lo, lo_open, hi, hi_open, leaf))
+        c = order_compare(lo, hi)
+        if c < 0 or (c == 0 and not (lo_open or hi_open)):
+            closed.append((lo, lo_open, hi, hi_open, leaf))
         for pt in (ival.lo, ival.hi) + ((leaf.value,) if isinstance(leaf, Const) else ()):
             pre = max(pre, len(pt.preamble))
             per = lcm(per, len(pt.period))
@@ -487,11 +488,6 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
         lw = lo.word(n)
         if lw > v:
             continue
-        lo_in, hi_in = lw == v, hw == v
-        if lo_in and hi_in:
-            c = order_compare(lo, hi)
-            if c > 0 or (c == 0 and (lo_open or hi_open)):
-                continue
         if isinstance(leaf, Identity):
             if strictness is Strictness.STRICT:
                 if not u < v:
@@ -506,6 +502,7 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
                     return False
                 if strictness is Strictness.NONSTRICT:
                     cmin, cmax = cylinder_bounds(sys, v)
+                    lo_in, hi_in = lw == v, hw == v
                     cell = OrderInterval(lo if lo_in else cmin, hi if hi_in else cmax,
                                          lo_open and lo_in, hi_open and hi_in)
                     pts = interval_small_points(sys, cell)
@@ -521,6 +518,7 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
                 if u > head:
                     return False
                 continue
+            hi_in = hw == v
             c = compare_beyond(hi if hi_in else p_max(sys), target, n)
             if c > 0 or (c == 0 and strictness is Strictness.STRICT
                          and not (hi_in and hi_open)):
@@ -531,9 +529,10 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
 def _level_bounds(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point) -> tuple[int, int]:
     """(data level, scan bound) of a level search on the pair (x, y).
 
-    The data level is the longest preamble among the system, x, y and the
-    points the function is built from; the scan bound adds twice the lcm
-    of all their periods.  The function's share comes from _search_data.
+    The data level D is the longest preamble among the system, x, y and
+    the points the function is built from, and P the lcm of all their
+    periods; every first difference among them lies at or before the
+    bound D + 2P.  The function's share comes from _search_data.
     """
     _, pre, per = _search_data(sys, bf)
     pre = max(pre, len(x.preamble), len(y.preamble))
@@ -546,16 +545,14 @@ def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     """Least level m >= merge_level(x, y) whose matched-tail cylinder passes.
 
     x and y share digit m + 1, so the level m + 1 cylinder pairs are a
-    subset of the level m ones and a passing level stays passing deeper
-    down.  Levels up to the data level are scanned in order, where most
-    answers lie.  Past it the last level the search may reach (the
-    bound, or depth_cap below it) is checked once: by monotonicity it
-    fails exactly when every level fails, so a No costs the scan plus
-    that one check.  When it passes, the search gallops and then bisects
-    below it, so a deep Yes costs O(log lcm) checks more rather than the
-    2 lcm of a scan to the bound.  The verdict is the one a scan of every
+    subset of the level m ones, piece by piece: a piece that passes at
+    some level passes at every deeper one.  The merge level is checked,
+    then every level up to the data level D, where most answers lie.
+    Past D the least level is the largest of the pieces' own least
+    levels (_piece_level), after one range check of x and y over D + P
+    digits (DigitRangeError).  The verdict is the one a scan of every
     level up to the bound (or up to depth_cap, which then leaves it
-    unknown) would give.
+    unknown) would give.  strictness is NONSTRICT or RAISED.
     """
     start = merge_level(x, y)
     if depth_cap is not None and depth_cap < start:
@@ -567,32 +564,67 @@ def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     data, bound = _level_bounds(sys, bf, x, y)
     bound = max(start, bound)
     stop = bound if depth_cap is None else min(depth_cap, bound)
-    # every level from here on is at most stop: unroll each word once
-    xw, yw = x.word(stop), y.word(stop)
-
-    def passes(m: int) -> bool:
-        return cylinder_within_eta(sys, bf, xw[:m], yw[:m], strictness)
-
-    lo = start  # deepest level known to fail
-    for m in range(start + 1, min(data, stop) + 1):
-        if passes(m):
+    low = max(start, min(data, stop))  # the deepest level checked
+    xw, yw = x.word(low), y.word(low)
+    for m in range(start + 1, low + 1):
+        if cylinder_within_eta(sys, bf, xw[:m], yw[:m], strictness):
             return verdict_yes(m)
-        lo = m
-    if lo == stop or not passes(stop):
-        return verdict_unknown(stop) if stop < bound else VERDICT_NO
-    base, step, hi = lo, 1, stop  # hi: shallowest level known to pass
-    while base + step < stop:
-        if passes(base + step):
-            hi = base + step
-            break
-        lo, step = base + step, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return verdict_yes(hi)
+    if low < stop:
+        n = data + lcm(len(x.period), len(y.period), sys.cycle_len)
+        ks = sys.k_word(n)
+        check_digits(x.word(n), ks)
+        check_digits(y.word(n), ks)
+        level = low
+        for piece in _search_data(sys, bf)[0]:
+            level = max(level, _piece_level(sys, piece, x, y, xw, yw, strictness))
+            if level > stop:
+                break
+        if level <= stop:
+            return verdict_yes(level)
+    return verdict_unknown(stop) if stop < bound else VERDICT_NO
+
+
+def _piece_level(sys: RefinementSystem, piece: tuple, x: Point, y: Point,
+                 u: tuple, v: tuple, strictness: Strictness) -> float:
+    """Least level m >= low = len(v) at which the piece alone passes, inf if none.
+
+    u and v are x's and y's words at low, at or past the data and merge
+    levels.  A piece that fails at low fails on until it leaves the
+    cylinder (off), u drops below a constant's target, or a left-limit
+    cell shrinks to one point, each read off a first difference.
+    """
+    low = len(v)
+    lo, lo_open, hi, hi_open, leaf = piece
+    hw, lw = hi.word(low), lo.word(low)
+    if hw < v or lw > v:
+        return low
+    const = isinstance(leaf, Const)
+    if const:
+        target = plus_point(sys, leaf.value) if strictness is Strictness.RAISED else leaf.value
+        tw = target.word(low)
+        if u < tw or (u == tw and compare_beyond(hi if hw == v else p_max(sys), target, low) <= 0):
+            return low
+    elif u < v or (u == v and (isinstance(leaf, Identity) or strictness is Strictness.RAISED)):
+        return low
+    # an end whose word is v leaves the cylinder at its first difference
+    # with y, and the piece with it when that end is on the far side of y
+    lo_y = order_compare(lo, y) if lw == v else -1
+    hi_y = order_compare(hi, y) if hw == v else 1
+    hi_off = low if hw != v else first_difference(hi, y) if hi_y else inf
+    off = hi_off if hi_y < 0 else first_difference(lo, y) if lo_y > 0 else inf
+    if const:
+        # while u is the target's word the cell's top beats the target as
+        # at low: hi's digits past low are y's and the target's are x's,
+        # and the target is not maximal past low, so the cylinder max wins
+        return min(off, first_difference(x, target)) if u == tw and lt(x, target) else off
+    if u > v:
+        return off
+    # a left limit with u = v, nonstrict: a cell of one point with no gap
+    # below passes, and a longer piece shrinks to [lo, cylinder max] once
+    # hi leaves if every digit of lo past low is maximal (a gap above lo)
+    if order_compare(lo, hi) == 0:
+        return off if has_gap_below(sys, lo) else low
+    return min(off, hi_off) if lo_y >= 0 and has_gap_above(sys, lo) else off
 
 
 def linked(mode: Mode, x: Point, y: Point) -> bool:
@@ -610,13 +642,12 @@ def sigma_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     The pair belongs iff some matched-tail cylinder around it sits
     entirely below the function.  The cylinder at level m + 1 is a
     subset of the one at level m (x and y agree beyond merge_level), so
-    the test is monotone in m and the least passing level is searched
-    for rather than scanned to.  The search is complete: beyond the
-    preamble data everything repeats, so levels up to the computed
-    bound decide.  A No costs the scan up to the data level plus one
-    check at the bound; a Yes costs that scan, or one check at the bound
-    plus a gallop and bisection below it.  A depth cap below that bound
-    can leave the answer unknown.
+    the test is monotone in m, piece by piece, and the least passing
+    level is searched for rather than scanned to.  With p pieces, merge
+    level s, data level D and period lcm P, a query costs the checks of
+    levels s to D (each O(p D) digit reads), then one pass over the
+    pieces: O(p) first differences and a range check over D + P digits.
+    No level past D is checked.  A depth cap can leave the answer unknown.
     """
     if not linked(bf.mode, x, y):
         return VERDICT_NO
@@ -660,9 +691,8 @@ def modification_certificate(sys: RefinementSystem, bf: PiecewiseBF, y: Point) -
     (suc phi(y), y) through some matched-tail cylinder.  A Yes carries
     the least witnessing level m; its cylinder words are the first m
     digits of suc phi(y) and of y.  As in sigma_member, deeper cylinders
-    are subsets of shallower ones, so the raised linkage is monotone in
-    the level and the least witnessing level is searched for, at the
-    costs sigma_member states.
+    are subsets of shallower ones, piece by piece, so the least
+    witnessing level is searched for at the cost sigma_member states.
     """
     if not has_gap_below(sys, y):
         return VERDICT_NO

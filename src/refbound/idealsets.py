@@ -254,9 +254,15 @@ def _unwrap(expr):
 def member(sys: RefinementSystem, expr, x: Point, y: Point,
            depth_cap: Optional[int] = None) -> Verdict:
     """Three-valued membership of the pair (x, y) in the expression."""
-    if not linked(expr_mode(expr), x, y):
+    if isinstance(expr, Module):
+        expr, mode = expr.inner, Mode.MODULE
+    else:
+        mode = Mode.IDEAL
+    if isinstance(expr, OfBFClosed) and expr.bf.mode is mode:
+        return sigma_member(sys, expr.bf, x, y, depth_cap)  # it tests this linkage
+    if not linked(mode, x, y):
         return VERDICT_NO
-    return _member(sys, _unwrap(expr), x, y, depth_cap)
+    return _member(sys, expr, x, y, depth_cap)
 
 
 def _member(sys, expr, x, y, cap) -> Verdict:

@@ -332,13 +332,17 @@ def _joint_words(x: Point, y: Point) -> tuple[int, tuple[int, ...], tuple[int, .
 
 
 def first_difference(x: Point, y: Point) -> Optional[int]:
-    """First position where the digit strings differ, or None if equal."""
+    """First position where the digit strings differ, or None if equal.
+
+    The heads are read first; only heads that agree unroll the joint words.
+    """
     if x is y:
         return None
-    _, a, b = _joint_words(x, y)
-    if a == b:
-        return None
-    return next(itertools.compress(itertools.count(1), map(operator.ne, a, b)))
+    n = next(itertools.compress(itertools.count(1), map(operator.ne, x.head, y.head)), None)
+    if n is None:
+        _, a, b = _joint_words(x, y)
+        n = next(itertools.compress(itertools.count(1), map(operator.ne, a, b)), None)
+    return n
 
 
 def order_compare(x: Point, y: Point) -> int:

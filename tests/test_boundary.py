@@ -9,7 +9,7 @@ import subprocess
 import sys as _sys
 from collections import Counter
 from functools import cmp_to_key
-from math import lcm
+from math import inf, lcm
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,10 @@ from refbound import boundary, idealsets, order
 from refbound.boundary import (
     ID,
     ID_MINUS,
+    VERDICT_NO,
     Const,
+    Identity,
+    IdentityMinus,
     InvalidBoundaryFunctionError,
     Mode,
     PiecewiseBF,
@@ -53,6 +56,7 @@ from refbound.boundary import (
     pointwise_le,
     sigma_member,
     validate_bf,
+    verdict_yes,
 )
 from refbound.cocycle import gap_point
 from refbound.idealsets import (
@@ -103,8 +107,10 @@ from refbound.order import (
     p_test,
     parse_point,
     parse_system,
+    point,
     pred,
     prepend,
+    replace_prefix,
     suc,
     tail_of,
 )
@@ -521,6 +527,24 @@ def count_checks(monkeypatch):
     return calls
 
 
+def count_words(monkeypatch):
+    """Lengths of the Point.word and k_word calls made from here on."""
+    lengths = []
+    word, k_word = Point.word, RefinementSystem.k_word
+
+    def counted_word(self, n):
+        lengths.append(n)
+        return word(self, n)
+
+    def counted_k_word(self, n):
+        lengths.append(n)
+        return k_word(self, n)
+
+    monkeypatch.setattr(Point, "word", counted_word)
+    monkeypatch.setattr(RefinementSystem, "k_word", counted_k_word)
+    return lengths
+
+
 def _search_cases(sys, seed):
     rng = random.Random(seed)
     f = random_bf(sys, rng)
@@ -528,6 +552,77 @@ def _search_cases(sys, seed):
     pairs = [(x, y) for x in pool for y in pool if p_test(x, y)]
     pairs += [_random_linked_pair(sys, rng) for _ in range(6)]
     return f, pool, pairs
+
+
+# coprime-period plateaus of phi_ab on ;2: (a, b, x) with phi(x) = a < x
+PLATEAUS = [
+    ("1|1111112", "2|12111111112", "21|1211111111112"),  # periods 7, 11, 13
+    ("1|1112", "2|1211112", "21|121111112"),  # periods 4, 7, 9
+]
+
+
+def _queries(sys, bf, pairs, ys):
+    """(system, function, x, y, strictness) of the level searches that hull
+    queries on the pairs and certificates at the ys make."""
+    for x, y in dict.fromkeys(pairs):
+        if boundary.linked(bf.mode, x, y):
+            yield sys, bf, x, y, Strictness.NONSTRICT
+    for y in dict.fromkeys(ys):
+        fy = eval_bf(sys, bf, y)
+        if has_gap_below(sys, y) and has_gap_above(sys, fy):
+            yield sys, bf, suc(sys, fy), y, Strictness.RAISED
+
+
+def _level_queries(systems=SEARCH_SYSTEMS, seeds=range(14, 26)):
+    """The level searches of _verdict_batches over the systems and seeds,
+    then the plateaus' hull query and certificates at gap successors."""
+    for sys in systems:
+        for seed in seeds:
+            f, pool, pairs = _search_cases(sys, seed)
+            g = boundary_of(sys, random_module_expr(sys, random.Random(seed)))
+            ys = pool + [suc(sys, gap_point(sys, n)) for n in range(1, 7)]
+            for bf in (f, g):
+                yield from _queries(sys, bf, [(x, y) for x in pool for y in pool] + pairs, ys)
+    for a, b, x in PLATEAUS:
+        f = construct_family(BIN, "phi_ab", a=pt(a), b=pt(b))
+        ys = [suc(BIN, gap_point(BIN, n)) for n in range(1, 7)]
+        yield from _queries(BIN, f, [(pt(x), pt(x))], ys)
+
+
+def _one_piece_queries(sys):
+    """Hand-built one-piece functions, lawful or not, with every leaf and
+    open flag, nonstrict and raised.  y is a piece end or the constant,
+    a point that agrees with one of them past its preamble but not
+    forever, or any point; x is y, or a mate of y that starts with a
+    random word or with the constant's digits."""
+    rng = random.Random("one piece|" + format_system(sys))
+    pool = sample_points(sys, 14, 10, 4, 3) + [gap_point(sys, n) for n in range(1, 5)]
+
+    def near(p):
+        n = rng.randint(0, len(p.preamble) + 1)
+        tail = list(p.word(n + 2 * len(p.period))[n:])
+        j = rng.randrange(len(tail))
+        tail[j] = rng.choice([d for d in range(1, sys.k_at(n + j + 1) + 1) if d != tail[j]])
+        try:
+            return point(sys, p.word(n), tail)
+        except DigitRangeError:
+            return p
+
+    for _ in range(60):
+        lo, hi = sorted((rng.choice(pool), rng.choice(pool)), key=cmp_to_key(order_compare))
+        leaf = rng.choice((ID, ID_MINUS, Const(rng.choice(pool))))
+        bf = PiecewiseBF(((OrderInterval(lo, hi, rng.random() < 0.3, rng.random() < 0.3),
+                           leaf),), rng.choice(tuple(Mode)))
+        ys = [lo, hi, near(lo), near(hi), rng.choice(pool)]
+        if isinstance(leaf, Const):
+            ys.append(near(leaf.value))
+        for y in ys:
+            n = rng.randint(0, len(y.preamble) + 2)
+            start = leaf.value if isinstance(leaf, Const) else lo
+            for word in (start.word(n), [rng.randint(1, k) for k in sys.k_word(n)]):
+                strictness = rng.choice((Strictness.NONSTRICT, Strictness.RAISED))
+                yield sys, bf, replace_prefix(sys, y, word), y, strictness
+            yield sys, bf, y, y, strictness
 
 
 class TestLevelSearch:
@@ -586,13 +681,10 @@ class TestLevelSearch:
         # periods 7, 11 and 13 put the scan bound at 2 + 2 * 1001 levels
         f = construct_family(BIN, "phi_ab", a=pt("1|1111112"), b=pt("2|12111111112"))
         x = pt("21|1211111111112")
-        calls = []
-        real = boundary.cylinder_within_eta
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
+        data, bound = boundary._level_bounds(BIN, f, x, x)
+        assert bound == 2 + 2 * 1001
+        calls = count_checks(monkeypatch)
+        words = count_words(monkeypatch)
         points = []
         real_point = order.point
 
@@ -600,33 +692,34 @@ class TestLevelSearch:
             points.append(args)
             return real_point(*args)
 
-        monkeypatch.setattr(boundary, "cylinder_within_eta", counted)
         monkeypatch.setattr(order, "point", counted_point)
         assert sigma_member(BIN, f, x, x).is_no
-        assert len(calls) <= 40
-        # the checks read digit words and build no points
+        # no check past the data level, no word unrolled to the bound, and
+        # no point built
+        assert calls and max(calls) <= data
+        assert words and max(words) < bound
         assert points == []
 
-    @pytest.mark.parametrize("a, b, x", [
-        ("1|1111112", "2|12111111112", "21|1211111111112"),  # periods 7, 11, 13
-        ("1|1112", "2|1211112", "21|121111112"),  # periods 4, 7, 9
-    ], ids=["7-11-13", "4-7-9"])
-    def test_plateau_no_takes_the_data_scan_and_two_checks(self, monkeypatch, a, b, x):
+    @pytest.mark.parametrize("a, b, x", PLATEAUS, ids=["7-11-13", "4-7-9"])
+    def test_plateau_no_takes_the_data_scan_only(self, monkeypatch, a, b, x):
         f = construct_family(BIN, "phi_ab", a=pt(a), b=pt(b))
         x = pt(x)
         want, data = _scan_levels(BIN, f, x, x, Strictness.NONSTRICT)
         assert want.is_no
         start = merge_level(x, x)
+        bound = boundary._level_bounds(BIN, f, x, x)[1]
         calls = count_checks(monkeypatch)
+        words = count_words(monkeypatch)
         assert sigma_member(BIN, f, x, x).is_no
-        # start, the levels up to the data level, and the bound
-        assert len(calls) <= (data - start) + 2
-        assert calls[-1] == boundary._level_bounds(BIN, f, x, x)[1]
+        # start and the levels up to the data level, each once; past it no
+        # check, and no word as long as the bound
+        assert calls == list(range(start, max(start, data) + 1))
+        assert max(words) < bound
 
     def test_depth_caps_past_the_data_level(self, monkeypatch):
         # a cap between the data level and the bound is the last level the
-        # search may reach: it passes on a Yes at or below it, and fails
-        # otherwise, leaving the answer unknown after one check there
+        # search may reach: it answers yes at or below it, and unknown
+        # otherwise, checking no level past the data level
         seen = Counter()
         for sys in SEARCH_SYSTEMS:
             for seed in range(14, 22):
@@ -647,17 +740,59 @@ class TestLevelSearch:
                     for cap in sorted({c for c in caps if low <= c < bound}):
                         expect, _ = _scan_levels(sys, f, x, y, Strictness.NONSTRICT, cap)
                         calls = count_checks(monkeypatch)
+                        words = count_words(monkeypatch)
                         got = sigma_member(sys, f, x, y, depth_cap=cap)
                         monkeypatch.undo()
                         assert got == expect, (x, y, cap)
                         if got.is_yes:
                             seen["passes at the cap"] += 1
-                            assert cap in calls and max(calls) == cap
                         else:
                             assert got == Verdict("unknown", cap)
                             seen["fails at the cap"] += 1
-                            assert calls[-1] == cap and len(calls) <= (data - start) + 2
+                        assert calls == list(range(start, low)) and max(words) < bound
         assert seen["passes at the cap"] > 0 and seen["fails at the cap"] > 0
+
+    def test_each_piece_passes_from_its_own_level(self, monkeypatch):
+        # one piece's check is monotone in the level, and past the data
+        # level the search's per-piece level is where that piece starts to
+        # pass; the verdict is the largest of them, under caps past the
+        # data level too
+        one = []
+        real = boundary._search_data
+        monkeypatch.setattr(boundary, "_search_data",
+                            lambda s, f: (tuple(one),) + real(s, f)[1:] if one else real(s, f))
+        seen = Counter()
+        queries = itertools.chain(_level_queries(), *map(_one_piece_queries, SEARCH_SYSTEMS))
+        for sys, bf, x, y, strictness in queries:
+            start = merge_level(x, y)
+            data, bound = boundary._level_bounds(sys, bf, x, y)
+            low, bound = max(start, data), max(start, bound)
+            firsts = []
+            for piece in real(sys, bf)[0]:
+                one[:] = [piece]
+                passes = [cylinder_within_eta(sys, bf, x.word(m), y.word(m), strictness)
+                          for m in range(start, bound + 1)]
+                assert passes == sorted(passes), (piece, x, y, strictness)
+                first = start + passes.index(True) if passes[-1] else inf
+                for m in {low, (low + bound) // 2}:
+                    got = boundary._piece_level(sys, piece, x, y, x.word(m), y.word(m),
+                                                strictness)
+                    assert got == max(m, first), (piece, x, y, strictness, m)
+                firsts.append(first)
+                leaf = piece[4]
+                seen[strictness, type(leaf), "never" if first == inf
+                     else "past the data level" if first > low else "by the data level"] += 1
+            one.clear()
+            level = max(firsts, default=start)
+            for cap in {None, low + 1, level - 1, level, bound - 1} - {inf}:
+                if cap is None or low < cap < bound:
+                    stop = bound if cap is None else cap
+                    want = (verdict_yes(level) if level <= stop
+                            else VERDICT_NO if cap is None else Verdict("unknown", cap))
+                    assert boundary._least_level(sys, bf, x, y, strictness, cap) == want
+        # every leaf, nonstrict and raised, starts to pass by the data level,
+        # past it, and never
+        assert len(seen) == 2 * 3 * 3
 
 
 # sha256 over "kind@level;" of every verdict in _verdict_batches; any change
@@ -706,6 +841,19 @@ class TestVerdictGolden:
         with pytest.raises(DigitRangeError, match=r"^digit 3 at position 1 outside 1\.\.2$"):
             sigma_member(BIN, f, a, b)
         assert sigma_member(BIN, f, b, a) == Verdict("no")
+
+    @pytest.mark.parametrize("a, b, x", PLATEAUS, ids=["7-11-13", "4-7-9"])
+    def test_digits_past_the_data_level_are_read(self, a, b, x):
+        # a bad digit at the end of the period, past every level the data
+        # scan checks, still raises once the search goes past the data level
+        f = construct_family(BIN, "phi_ab", a=pt(a), b=pt(b))
+        x = pt(x)
+        bad = Point(x.preamble, x.period[:-1] + (3,))
+        data, _ = boundary._level_bounds(BIN, f, bad, bad)
+        n = len(x.preamble) + len(x.period)
+        assert n > data and sigma_member(BIN, f, x, x).is_no
+        with pytest.raises(DigitRangeError, match=f"^digit 3 at position {n} outside"):
+            sigma_member(BIN, f, bad, bad)
 
 
 # ---------------------------------------------------------------------------

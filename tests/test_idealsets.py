@@ -7,6 +7,7 @@ from functools import reduce
 
 import pytest
 
+from refbound import boundary, idealsets
 from refbound.boundary import (
     ID,
     Const,
@@ -228,6 +229,32 @@ class TestSubLevelSets:
         assert member(BIN, union(hull, OfBFOpen(f)), x, y, depth_cap=0).is_yes
         assert member(BIN, intersection(hull, Empty()), x, y, depth_cap=0).is_no
         assert member(BIN, intersection(Full(), hull), x, y, depth_cap=1).is_yes
+
+    def test_a_hull_query_tests_linkage_once(self, monkeypatch):
+        # a hull of the expression's mode is linked by sigma_member alone; a
+        # module-mode function outside module(...) is linked as an ideal
+        # pair first, then by orbit
+        calls = []
+        real = boundary.linked
+
+        def counted(mode, x, y):
+            calls.append(mode)
+            return real(mode, x, y)
+
+        monkeypatch.setattr(boundary, "linked", counted)
+        monkeypatch.setattr(idealsets, "linked", counted)
+        f, g = self.phi(), const_bf(BIN, p_min(BIN), Mode.MODULE)
+        x, y = pt("11|12"), self.b  # one orbit, x < y: linked in both modes
+        ideal, mod = Mode.IDEAL, Mode.MODULE
+        for expr, forward, backward in (
+                (OfBFClosed(f), [ideal], [ideal]),
+                (module(OfBFClosed(g)), [mod], [mod]),
+                (OfBFClosed(g), [ideal, mod], [ideal]),
+                (module(OfBFClosed(f)), [mod, ideal], [mod, ideal])):
+            for a, b, want in ((x, y, forward), (y, x, backward)):
+                calls.clear()
+                member(BIN, expr, a, b)
+                assert calls == want, (expr, a, b)
 
 
 class TestBoundaries:

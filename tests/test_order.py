@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+from collections import Counter
 from math import lcm
 
 import pytest
@@ -930,7 +931,7 @@ class TestGapFacts:
 
 
 def count_joint_words(monkeypatch):
-    """Record the calls order_compare makes to _joint_words."""
+    """Record the calls order_compare and first_difference make to _joint_words."""
     calls = []
     real = _joint_words
 
@@ -1089,6 +1090,26 @@ class TestHead:
             assert first_difference(x, y) == ref_first_difference(x, y), (x, y)
             unequal += i < undecided and want != 0
         assert unequal > 20
+
+    @pytest.mark.parametrize("sys", LONG_PERIOD_SYSTEMS, ids=format_system)
+    def test_first_difference_across_the_head(self, monkeypatch, sys):
+        # first differences at 31, 32 and 33: within the shorter head the
+        # heads decide, and only heads that agree unroll the joint words
+        rng = random.Random("first-difference|" + format_system(sys))
+        calls = count_joint_words(monkeypatch)
+        seen = Counter()
+        for x in long_period_points(sys, rng, 24):
+            for n in (HEAD_LEN - 1, HEAD_LEN, HEAD_LEN + 1):
+                d = x.digit(n) % sys.k_at(n) + 1
+                y = prepend(sys, x.word(n - 1) + (d,), tail_of(sys, x, n))
+                for a, b in ((x, y), (y, x)):
+                    calls.clear()
+                    assert first_difference(a, b) == ref_first_difference(a, b) == n
+                    in_heads = n <= min(len(a.head), len(b.head))
+                    assert len(calls) == (0 if in_heads else 1)
+                    seen[n, in_heads] += 1
+        assert seen[HEAD_LEN + 1, False] and seen[HEAD_LEN + 1, True]
+        assert seen[HEAD_LEN - 1, True] and seen[HEAD_LEN, True]
 
 
 # ---------------------------------------------------------------------------
