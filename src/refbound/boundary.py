@@ -163,7 +163,7 @@ class InvalidBoundaryFunctionError(RefinementError):
 
 @dataclass(frozen=True)
 class Verdict:
-    kind: str  # "yes" | "no" | "unknown"
+    kind: str  # "yes" (with its level) | "no"
     level: Optional[int] = None
 
     @property
@@ -173,10 +173,6 @@ class Verdict:
     @property
     def is_no(self) -> bool:
         return self.kind == "no"
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.kind == "unknown"
 
 
 # Verdicts are immutable, so the yes verdicts of the levels most searches
@@ -189,10 +185,6 @@ def verdict_yes(level: int) -> Verdict:
 
 
 VERDICT_NO = Verdict("no")
-
-
-def verdict_unknown(depth: int) -> Verdict:
-    return Verdict("unknown", depth)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +533,7 @@ def _level_bounds(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point) ->
 
 
 def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
-                 strictness: Strictness, depth_cap: Optional[int] = None) -> Verdict:
+                 strictness: Strictness) -> Verdict:
     """Least level m >= merge_level(x, y) whose matched-tail cylinder passes.
 
     x and y share digit m + 1, so the level m + 1 cylinder pairs are a
@@ -551,37 +543,29 @@ def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     Past D the least level is the largest of the pieces' own least
     levels (_piece_level), after one range check of x and y over D + P
     digits (DigitRangeError).  The verdict is the one a scan of every
-    level up to the bound (or up to depth_cap, which then leaves it
-    unknown) would give.  strictness is NONSTRICT or RAISED.
+    level up to the bound would give.  strictness is NONSTRICT or RAISED.
     """
     start = merge_level(x, y)
-    if depth_cap is not None and depth_cap < start:
-        if depth_cap < 0:
-            raise ValueError(f"depth_cap must be at least 0, got {depth_cap}")
-        return verdict_unknown(depth_cap)
     if cylinder_within_eta(sys, bf, x.word(start), y.word(start), strictness):
         return verdict_yes(start)
     data, bound = _level_bounds(sys, bf, x, y)
-    bound = max(start, bound)
-    stop = bound if depth_cap is None else min(depth_cap, bound)
-    low = max(start, min(data, stop))  # the deepest level checked
+    low = max(start, data)  # the deepest level checked
     xw, yw = x.word(low), y.word(low)
     for m in range(start + 1, low + 1):
         if cylinder_within_eta(sys, bf, xw[:m], yw[:m], strictness):
             return verdict_yes(m)
-    if low < stop:
-        n = data + lcm(len(x.period), len(y.period), sys.cycle_len)
-        ks = sys.k_word(n)
-        check_digits(x.word(n), ks)
-        check_digits(y.word(n), ks)
-        level = low
-        for piece in _search_data(sys, bf)[0]:
-            level = max(level, _piece_level(sys, piece, x, y, xw, yw, strictness))
-            if level > stop:
-                break
-        if level <= stop:
-            return verdict_yes(level)
-    return verdict_unknown(stop) if stop < bound else VERDICT_NO
+    if low >= bound:
+        return VERDICT_NO
+    n = data + lcm(len(x.period), len(y.period), sys.cycle_len)
+    ks = sys.k_word(n)
+    check_digits(x.word(n), ks)
+    check_digits(y.word(n), ks)
+    level = low
+    for piece in _search_data(sys, bf)[0]:
+        level = max(level, _piece_level(sys, piece, x, y, xw, yw, strictness))
+        if level > bound:
+            return VERDICT_NO
+    return verdict_yes(level)
 
 
 def _piece_level(sys: RefinementSystem, piece: tuple, x: Point, y: Point,
@@ -635,8 +619,7 @@ def linked(mode: Mode, x: Point, y: Point) -> bool:
     return p_test(x, y) if mode is Mode.IDEAL else orbit_test(x, y)
 
 
-def sigma_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
-                 depth_cap: Optional[int] = None) -> Verdict:
+def sigma_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point) -> Verdict:
     """Membership of the pair (x, y) in the open set carved out by bf.
 
     The pair belongs iff some matched-tail cylinder around it sits
@@ -647,11 +630,11 @@ def sigma_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     level s, data level D and period lcm P, a query costs the checks of
     levels s to D (each O(p D) digit reads), then one pass over the
     pieces: O(p) first differences and a range check over D + P digits.
-    No level past D is checked.  A depth cap can leave the answer unknown.
+    No level past D is checked.
     """
     if not linked(bf.mode, x, y):
         return VERDICT_NO
-    return _least_level(sys, bf, x, y, Strictness.NONSTRICT, depth_cap)
+    return _least_level(sys, bf, x, y, Strictness.NONSTRICT)
 
 
 def eta_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point) -> bool:

@@ -1,9 +1,8 @@
 """Command line front end.
 
 run, suite and paper-examples share one flag set (--seed, --budget,
---json); run and suite also take --system, and run and paper-examples
---depth-cap, which only membership verdicts read.  fixture only prints,
-so it takes no flag:
+--json); run and suite also take --system.  fixture only prints, so it
+takes no flag:
 
     refbound run PATH              execute a scenario file
     refbound fixture NAME          print a built-in scenario
@@ -14,9 +13,10 @@ so it takes no flag:
     refbound paper-examples GROUP  run a fixture group or one fixture
 
 Exit codes: 0 all assertions held, 1 an assertion or suite failed,
-2 malformed input (scenario files report its line and column; a
-negative --depth-cap is one) or a --json path that cannot be written.
-The --json file is opened before any work, so a bad path costs no run.
+2 malformed input (scenario files report its line and column) or a
+--json path that cannot be written.  The --json file is opened before
+any work, so a bad path costs no run, and a run that exits 2 leaves the
+path as it found it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "limit systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, repeat=False, system=True, depth_cap=True):
+    def common(p, repeat=False, system=True):
         if system:
             p.add_argument("--system", metavar="LITERAL", default=None,
                            action="append" if repeat else "store",
@@ -53,9 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="repeat for several seeds" if repeat else None)
         p.add_argument("--budget", type=int, default=1,
                        help="sampling multiplier for suites")
-        if depth_cap:
-            p.add_argument("--depth-cap", type=int, default=None, dest="depth_cap",
-                           help="search depth cap for membership verdicts")
         p.add_argument("--json", metavar="PATH", default=None, dest="json_path",
                        help="also write machine-readable results to PATH")
 
@@ -68,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run property suites")
     p_suite.add_argument("name", nargs="+", choices=list(SUITE_NAMES) + ["all"])
-    common(p_suite, repeat=True, depth_cap=False)
+    common(p_suite, repeat=True)
 
     p_pe = sub.add_parser("paper-examples", help="run a fixture group or one fixture")
     p_pe.add_argument("group", choices=sorted(FIXTURE_GROUPS) + list(FIXTURE_NAMES))
@@ -85,15 +82,26 @@ def _print_outcome(out: ScenarioOutcome) -> None:
     print(f"{len(out.results)} commands, {bad} failed")
 
 
+@contextlib.contextmanager
 def _json_file(path):
     # opened before the work, so an unwritable path (bad input, exit 2)
-    # costs no run; append mode keeps an earlier file if the run fails
+    # costs no run; append mode keeps an earlier file if the run fails,
+    # and a file the opening made is removed if nothing was written to it
     if not path:
-        return contextlib.nullcontext()
+        yield None
+        return
+    made = not os.path.lexists(path)
     try:
-        return open(path, "a", encoding="utf-8")
+        fh = open(path, "a", encoding="utf-8")
     except OSError as err:
         raise _json_error(path, err) from None
+    try:
+        with fh:
+            yield fh
+            made = made and fh.tell() == 0
+    finally:
+        if made:
+            os.remove(path)
 
 
 def _json_error(path, err: OSError) -> ValueError:
@@ -113,7 +121,7 @@ def _cmd_run(args) -> int:
     with _json_file(args.json_path) as out:
         try:
             outcome = run_scenario(args.path, system=args.system, seed=args.seed,
-                                   budget=args.budget, depth_cap=args.depth_cap)
+                                   budget=args.budget)
         except OSError as err:
             print(f"error: {err}", file=_sys.stderr)
             return 2
@@ -166,8 +174,7 @@ def _cmd_paper_examples(args) -> int:
         for name in names:
             print(f"--- {name} ---")
             outcome = run_scenario_text(
-                emit_fixture(name), seed=args.seed, budget=args.budget,
-                depth_cap=args.depth_cap)
+                emit_fixture(name), seed=args.seed, budget=args.budget)
             _print_outcome(outcome)
             merged.results.extend(outcome.results)
             merged.reports.extend(outcome.reports)
@@ -188,8 +195,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "depth_cap", None) is not None and args.depth_cap < 0:
-            raise ValueError(f"--depth-cap must be at least 0, got {args.depth_cap}")
         code = _COMMANDS[args.command](args)
         _sys.stdout.flush()
         return code

@@ -7,8 +7,8 @@ reports the boundary function of the expression's closed hull.
 Two wrappers tie the class to boundary functions: the strict sub-level
 set (everything below the function) and the neighborhood hull (pairs
 with a whole matched-tail cylinder below the function).  The first is
-decided directly, the second by the cylinder search and so may come
-back Unknown under a depth cap.
+decided directly, the second by the cylinder search.  Every membership
+verdict is yes, with the level it holds from, or no.
 
 Wrapping an expression in Module drops the x <= y requirement, so the
 pair set only has to respect the shared-orbit relation.
@@ -41,7 +41,6 @@ from .boundary import (
     make_bf,
     minus_point,
     sigma_member,
-    verdict_unknown,
     verdict_yes,
 )
 from .order import (
@@ -251,24 +250,23 @@ def _unwrap(expr):
 # membership
 
 
-def member(sys: RefinementSystem, expr, x: Point, y: Point,
-           depth_cap: Optional[int] = None) -> Verdict:
-    """Three-valued membership of the pair (x, y) in the expression."""
+def member(sys: RefinementSystem, expr, x: Point, y: Point) -> Verdict:
+    """Membership of the pair (x, y) in the expression: yes or no."""
     if isinstance(expr, Module):
         expr, mode = expr.inner, Mode.MODULE
     else:
         mode = Mode.IDEAL
     if isinstance(expr, OfBFClosed) and expr.bf.mode is mode:
-        return sigma_member(sys, expr.bf, x, y, depth_cap)  # it tests this linkage
+        return sigma_member(sys, expr.bf, x, y)  # it tests this linkage
     if not linked(mode, x, y):
         return VERDICT_NO
-    return _member(sys, expr, x, y, depth_cap)
+    return _member(sys, expr, x, y)
 
 
-def _member(sys, expr, x, y, cap) -> Verdict:
+def _member(sys, expr, x, y) -> Verdict:
     # the sets of a function come first: they carry the read path's queries
     if isinstance(expr, OfBFClosed):
-        return sigma_member(sys, expr.bf, x, y, cap)
+        return sigma_member(sys, expr.bf, x, y)
     if isinstance(expr, OfBFOpen):
         if lt(x, eval_bf(sys, expr.bf, y)):
             return verdict_yes(0)
@@ -301,27 +299,19 @@ def _member(sys, expr, x, y, cap) -> Verdict:
                 return verdict_yes(level)
         return VERDICT_NO
     if isinstance(expr, Union):
-        unknown = None
         for part in expr.parts:
-            k = _member(sys, part, x, y, cap)
+            k = _member(sys, part, x, y)
             if k.is_yes:
                 return k
-            if k.is_unknown and (unknown is None or k.level > unknown.level):
-                unknown = k
-        return unknown if unknown is not None else VERDICT_NO
+        return VERDICT_NO
     if isinstance(expr, Intersection):
-        unknown = None
         level = 0
         for part in expr.parts:
-            k = _member(sys, part, x, y, cap)
+            k = _member(sys, part, x, y)
             if k.is_no:
                 return VERDICT_NO
-            if k.is_unknown:
-                if unknown is None or k.level > unknown.level:
-                    unknown = k
-            elif k.level is not None:
-                level = max(level, k.level)
-        return unknown if unknown is not None else verdict_yes(level)
+            level = max(level, k.level)
+        return verdict_yes(level)
     raise TypeError(f"not an ideal-set expression: {expr!r}")
 
 
@@ -817,22 +807,19 @@ def _sampled_downward_closure(sys, expr, out: list[Violation]) -> None:
 # graph sets and the sandwich test
 
 
-def in_B_phi(sys: RefinementSystem, bf: PiecewiseBF, y: Point,
-             depth_cap: Optional[int] = None) -> Verdict:
+def in_B_phi(sys: RefinementSystem, bf: PiecewiseBF, y: Point) -> Verdict:
     """Does the graph point (phi(y), y) lie in the neighborhood hull?"""
-    return sigma_member(sys, bf, eval_bf(sys, bf, y), y, depth_cap)
+    return sigma_member(sys, bf, eval_bf(sys, bf, y), y)
 
 
-def in_L_phi(sys: RefinementSystem, bf: PiecewiseBF, y: Point,
-             depth_cap: Optional[int] = None) -> Verdict:
+def in_L_phi(sys: RefinementSystem, bf: PiecewiseBF, y: Point) -> Verdict:
     """Like in_B_phi, but only at values with a gap below."""
     if not has_gap_below(sys, eval_bf(sys, bf, y)):
         return VERDICT_NO
-    return in_B_phi(sys, bf, y, depth_cap)
+    return in_B_phi(sys, bf, y)
 
 
-def sandwich_check(sys: RefinementSystem, expr, phi: PiecewiseBF,
-                   depth_cap: Optional[int] = None) -> Verdict:
+def sandwich_check(sys: RefinementSystem, expr, phi: PiecewiseBF) -> Verdict:
     """Is phi the boundary function of the expression?
 
     Decided by piecewise equality of boundary_of(expr) with phi.  A Yes
@@ -843,12 +830,11 @@ def sandwich_check(sys: RefinementSystem, expr, phi: PiecewiseBF,
     """
     if boundary_of(sys, expr) != phi:
         return VERDICT_NO
-    unknown = None
     for x, y in _sample_pairs(sys, expr):
         below = member(sys, OfBFOpen(phi) if phi.mode is Mode.IDEAL
                        else module(OfBFOpen(phi)), x, y)
-        mine = member(sys, expr, x, y, depth_cap)
-        hull = sigma_member(sys, phi, x, y, depth_cap)
+        mine = member(sys, expr, x, y)
+        hull = sigma_member(sys, phi, x, y)
         if below.is_yes and mine.is_no:
             raise RefinementError(
                 f"boundary matches but the strict sub-level pair "
@@ -857,14 +843,9 @@ def sandwich_check(sys: RefinementSystem, expr, phi: PiecewiseBF,
             raise RefinementError(
                 f"boundary matches but ({format_point(sys, x)}, "
                 f"{format_point(sys, y)}) escapes the neighborhood hull")
-        if mine.is_unknown or hull.is_unknown:
-            unknown = verdict_unknown(depth_cap or 0)
-        if in_L_phi(sys, phi, y, depth_cap).is_yes:
-            at_gap = member(sys, expr, eval_bf(sys, phi, y), y, depth_cap)
-            if at_gap.is_no:
-                raise RefinementError(
-                    f"boundary matches but the attained gap value at "
-                    f"{format_point(sys, y)} escapes")
-            if at_gap.is_unknown:
-                unknown = verdict_unknown(depth_cap or 0)
-    return unknown if unknown is not None else verdict_yes(0)
+        if in_L_phi(sys, phi, y).is_yes and member(
+                sys, expr, eval_bf(sys, phi, y), y).is_no:
+            raise RefinementError(
+                f"boundary matches but the attained gap value at "
+                f"{format_point(sys, y)} escapes")
+    return verdict_yes(0)

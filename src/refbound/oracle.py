@@ -684,7 +684,7 @@ def _suite_prop7(sys, rng, budget, rec):
                 rec.check(inside, "strict sub-level pairs lie inside the set",
                           lambda: _wp(sys, x=x, y=y) + "; " + wit())
             if inside:
-                rec.check(not sigma_member(sys, phi, x, y).is_no,
+                rec.check(sigma_member(sys, phi, x, y).is_yes,
                           "members stay inside the neighborhood hull",
                           lambda: _wp(sys, x=x, y=y) + "; " + wit())
         for y in _point_batch(sys, rng, 6):

@@ -16,7 +16,7 @@ Grammar, one statement per line, `#` starts a comment:
             | join F F | meet F F
             | family phi_ab P P | family phi_at P P | family psi_paab P P
     eval F P expect P
-    member I P P expect yes|no|unknown
+    member I P P expect yes|no
     boundary I expect F
     minus F expect F
     plus F expect F
@@ -24,7 +24,7 @@ Grammar, one statement per line, `#` starts a comment:
     classify meet|join F expect KIND
     classify meet-set|join-set I expect irreducible|reducible|none
     equiv F F expect yes|no
-    sandwich I F expect yes|no|unknown
+    sandwich I F expect yes|no
     suite NAME expect ok
     paper-examples GROUP expect ok
 
@@ -131,20 +131,19 @@ _CLASSIFY = {
     "join-set": (_IDEAL, classify_join_ideal, _SET_ANSWERS),
 }
 # the words an `expect` value may be, and the message that refuses others
-_VERDICT = (("yes", "no", "unknown"), "expected one of yes, no, unknown")
 _YES_NO = (("yes", "no"), "expected 'yes' or 'no'")
 # verb -> (argument kinds, library call on the system and the arguments,
 # what its `expect` value is: a point, a function or one of some words);
 # verbs with no call have branches of their own
 _VERBS = {
     "eval": ((_BF, _POINT), eval_bf, _POINT),
-    "member": ((_IDEAL, _POINT, _POINT), member, _VERDICT),
+    "member": ((_IDEAL, _POINT, _POINT), member, _YES_NO),
     "boundary": (*_BFS["boundary"], _BF),
     "minus": (*_BFS["minus"], _BF), "plus": (*_BFS["plus"], _BF),
     "lattice": ((("'join' or 'meet'", None), _BF, _BF), None, _BF),
     "classify": ((("a classification mode", None), ("a name", None)), None, None),
     "equiv": ((_BF, _BF), bf_equiv, _YES_NO),
-    "sandwich": ((_IDEAL, _BF), sandwich_check, _VERDICT),
+    "sandwich": ((_IDEAL, _BF), sandwich_check, _YES_NO),
     "suite": ((_SUITE,), None, (("ok",), "suites can only expect 'ok'")),
     "paper-examples": ((("a fixture group", None),), None,
                        (("ok",), "fixture groups can only expect 'ok'")),
@@ -156,11 +155,10 @@ def _tokens(line: str):
 
 
 class _Engine:
-    def __init__(self, system=None, seed=0, budget=1, depth_cap=None):
+    def __init__(self, system=None, seed=0, budget=1):
         self.sys = parse_system(system) if isinstance(system, str) else system
         self.seed = seed
         self.budget = budget
-        self.depth_cap = depth_cap
         self.points = {}
         self.ideals = {}
         self.bfs = {}
@@ -381,8 +379,6 @@ class _Engine:
                 return self._record(line, text, rep.ok, detail)
             if head == "paper-examples":
                 return self._run_examples(line, text, *args[0])
-            if expect is _VERDICT:  # three-valued verdicts take the depth cap
-                args.append(self.depth_cap)
             got = call(s, *args)
         if expect is _POINT:
             wanted = self._point(want, want_col, line)
@@ -391,7 +387,8 @@ class _Engine:
             wanted = self._bf(want, want_col, line)
             self._record(line, text, bf_eq(s, got, wanted), format_bf(s, got))
         else:
-            got = got.kind if expect is _VERDICT else ("yes" if got else "no")
+            # equiv answers a bool, member and sandwich a verdict
+            got = ("yes" if got else "no") if isinstance(got, bool) else got.kind
             self._record(line, text, got == want, got)
 
     def _run_examples(self, line, text, group, col):
@@ -400,8 +397,7 @@ class _Engine:
         bits, all_ok = [], True
         for fname in names:
             sub = run_scenario_text(
-                emit_fixture(fname), seed=self.seed, budget=self.budget,
-                depth_cap=self.depth_cap)
+                emit_fixture(fname), seed=self.seed, budget=self.budget)
             self.out.reports.extend(sub.reports)
             ok = sub.exit_code == 0
             all_ok = all_ok and ok
@@ -428,9 +424,9 @@ class _Engine:
 
 
 def run_scenario_text(text: str, *, system=None, seed: int = 0,
-                      budget: int = 1, depth_cap=None) -> ScenarioOutcome:
+                      budget: int = 1) -> ScenarioOutcome:
     """Execute scenario text; raises ScenarioError on malformed input."""
-    eng = _Engine(system, seed, budget, depth_cap)
+    eng = _Engine(system, seed, budget)
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0].rstrip()
         if not body.strip():
@@ -445,10 +441,9 @@ def run_scenario_text(text: str, *, system=None, seed: int = 0,
     return eng.out
 
 
-def run_scenario(path, *, system=None, seed: int = 0, budget: int = 1,
-                 depth_cap=None) -> ScenarioOutcome:
+def run_scenario(path, *, system=None, seed: int = 0,
+                 budget: int = 1) -> ScenarioOutcome:
     """Execute a scenario file."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    return run_scenario_text(text, system=system, seed=seed, budget=budget,
-                             depth_cap=depth_cap)
+    return run_scenario_text(text, system=system, seed=seed, budget=budget)

@@ -395,11 +395,6 @@ class TestCylinderLinkage:
         # the constant's value itself lies on the other orbit
         assert sigma_member(BIN, phi, pred(BIN, a), pt("212|1")).is_no
 
-    def test_sigma_member_depth_cap(self):
-        f = identity_bf(BIN)
-        v = sigma_member(BIN, f, pt("11|2"), pt("2|2"), depth_cap=1)
-        assert v.is_unknown and v.level == 1
-
     def test_verdict_levels(self):
         f = identity_bf(BIN)
         v = sigma_member(BIN, f, pt("11|2"), pt("2|2"))
@@ -494,24 +489,27 @@ class TestModuleMode:
 SEARCH_SYSTEMS = [parse_system(t) for t in (";2", ";2,3", "3;2", ";11", "2;2,2,3")]
 
 
-def _scan_levels(sys, bf, x, y, strictness, depth_cap=None):
-    """Reference: test each level from merge_level up to the bound in turn.
-
-    Returns the verdict and the data level (the longest preamble among
-    the system, x, y and the function's points).
-    """
+def _scan_span(sys, bf, x, y):
+    """The reference's data level (the longest preamble among the system,
+    x, y and the function's points) and the lcm of their periods."""
     pts = [x, y]
     for ival, leaf in bf.pieces:
         pts += [ival.lo, ival.hi] + ([leaf.value] if isinstance(leaf, Const) else [])
     data = max([sys.prefix_len] + [len(p.preamble) for p in pts])
-    period = lcm(sys.cycle_len, *(len(p.period) for p in pts))
+    return data, lcm(sys.cycle_len, *(len(p.period) for p in pts))
+
+
+def _scan_levels(sys, bf, x, y, strictness):
+    """Reference: test each level from merge_level up to the bound in turn.
+
+    Returns the verdict and the data level.
+    """
+    data, period = _scan_span(sys, bf, x, y)
     start = merge_level(x, y)
-    bound = max(start, data + 2 * period)
-    stop = bound if depth_cap is None else min(depth_cap, bound)
-    for m in range(start, stop + 1):
+    for m in range(start, max(start, data + 2 * period) + 1):
         if cylinder_within_eta(sys, bf, x.word(m), y.word(m), strictness):
             return Verdict("yes", m), data
-    return (Verdict("unknown", stop) if stop < bound else Verdict("no")), data
+    return Verdict("no"), data
 
 
 def count_checks(monkeypatch):
@@ -632,25 +630,13 @@ class TestLevelSearch:
             for seed in range(14, 22):
                 f, _, pairs = _search_cases(sys, seed)
                 for x, y in pairs:
-                    start = merge_level(x, y)
-                    # a negative cap is refused (test_negative_depth_cap_is_refused)
-                    for cap in (None, 0, 2, 5, max(start - 1, 0)):
-                        want, data = _scan_levels(sys, f, x, y, Strictness.NONSTRICT, cap)
-                        assert sigma_member(sys, f, x, y, depth_cap=cap) == want
-                        deep = want.is_yes and want.level > max(start, data)
-                        seen["deep yes" if deep else want.kind] += 1
-        # every branch of the search is exercised, the bisection included
-        assert all(seen[k] > 0 for k in ("yes", "deep yes", "no", "unknown"))
-
-    def test_negative_depth_cap_is_refused(self):
-        # linked pairs merging at levels 0, 1 and 2; an unlinked pair
-        # answers no before any level is searched
-        f = identity_bf(BIN)
-        for x, y in ((pt("|1"), pt("|1")), (pt("1|2"), pt("2|2")), (pt("11|2"), pt("22|2"))):
-            assert sigma_member(BIN, f, x, y, depth_cap=merge_level(x, y)).is_yes
-            with pytest.raises(ValueError, match="^depth_cap must be at least 0, got -1$"):
-                sigma_member(BIN, f, x, y, depth_cap=-1)
-        assert sigma_member(BIN, f, pt("|1"), pt("|2"), depth_cap=-1).is_no
+                    want, data = _scan_levels(sys, f, x, y, Strictness.NONSTRICT)
+                    assert sigma_member(sys, f, x, y) == want
+                    deep = want.is_yes and want.level > max(merge_level(x, y), data)
+                    seen["deep yes" if deep else want.kind] += 1
+        # every branch of the search is exercised, the pass past the data
+        # level included
+        assert all(seen[k] > 0 for k in ("yes", "deep yes", "no"))
 
     def test_modification_certificate_matches_level_scan(self):
         yes = 0
@@ -716,10 +702,10 @@ class TestLevelSearch:
         assert calls == list(range(start, max(start, data) + 1))
         assert max(words) < bound
 
-    def test_depth_caps_past_the_data_level(self, monkeypatch):
-        # a cap between the data level and the bound is the last level the
-        # search may reach: it answers yes at or below it, and unknown
-        # otherwise, checking no level past the data level
+    def test_no_level_past_the_data_level_is_checked(self, monkeypatch):
+        # a "no", or a yes past the data level, checks the levels from the
+        # merge level to the data level once each and unrolls no word as
+        # long as the bound
         seen = Counter()
         for sys in SEARCH_SYSTEMS:
             for seed in range(14, 22):
@@ -727,36 +713,23 @@ class TestLevelSearch:
                 for x, y in pairs:
                     want, data = _scan_levels(sys, f, x, y, Strictness.NONSTRICT)
                     start = merge_level(x, y)
-                    _, bound = boundary._level_bounds(sys, f, x, y)
-                    bound = max(start, bound)
                     low = max(start, data) + 1
-                    if want.is_no:
-                        caps = (low, (low + bound) // 2, bound - 1)
-                    elif want.level >= low:
-                        m = want.level
-                        caps = (m - 1, m, m + 1, (low + m) // 2)
-                    else:
+                    if want.is_yes and want.level < low:
                         continue
-                    for cap in sorted({c for c in caps if low <= c < bound}):
-                        expect, _ = _scan_levels(sys, f, x, y, Strictness.NONSTRICT, cap)
-                        calls = count_checks(monkeypatch)
-                        words = count_words(monkeypatch)
-                        got = sigma_member(sys, f, x, y, depth_cap=cap)
-                        monkeypatch.undo()
-                        assert got == expect, (x, y, cap)
-                        if got.is_yes:
-                            seen["passes at the cap"] += 1
-                        else:
-                            assert got == Verdict("unknown", cap)
-                            seen["fails at the cap"] += 1
-                        assert calls == list(range(start, low)) and max(words) < bound
-        assert seen["passes at the cap"] > 0 and seen["fails at the cap"] > 0
+                    _, bound = boundary._level_bounds(sys, f, x, y)
+                    calls = count_checks(monkeypatch)
+                    words = count_words(monkeypatch)
+                    got = sigma_member(sys, f, x, y)
+                    monkeypatch.undo()
+                    assert got == want, (x, y)
+                    seen[got.kind] += 1
+                    assert calls == list(range(start, low)) and max(words) < max(start, bound)
+        assert seen["yes"] > 0 and seen["no"] > 0
 
     def test_each_piece_passes_from_its_own_level(self, monkeypatch):
         # one piece's check is monotone in the level, and past the data
         # level the search's per-piece level is where that piece starts to
-        # pass; the verdict is the largest of them, under caps past the
-        # data level too
+        # pass; the verdict is the largest of them
         one = []
         real = boundary._search_data
         monkeypatch.setattr(boundary, "_search_data",
@@ -784,12 +757,8 @@ class TestLevelSearch:
                      else "past the data level" if first > low else "by the data level"] += 1
             one.clear()
             level = max(firsts, default=start)
-            for cap in {None, low + 1, level - 1, level, bound - 1} - {inf}:
-                if cap is None or low < cap < bound:
-                    stop = bound if cap is None else cap
-                    want = (verdict_yes(level) if level <= stop
-                            else VERDICT_NO if cap is None else Verdict("unknown", cap))
-                    assert boundary._least_level(sys, bf, x, y, strictness, cap) == want
+            want = verdict_yes(level) if level <= bound else VERDICT_NO
+            assert boundary._least_level(sys, bf, x, y, strictness) == want
         # every leaf, nonstrict and raised, starts to pass by the data level,
         # past it, and never
         assert len(seen) == 2 * 3 * 3
@@ -797,7 +766,7 @@ class TestLevelSearch:
 
 # sha256 over "kind@level;" of every verdict in _verdict_batches; any change
 # to a hull answer or a witness level moves it
-VERDICT_DIGEST = "553ca66cc0f9e042a6f61743799ff35060c8c5f211698e32e5b76d43bf32199b"
+VERDICT_DIGEST = "6b3623479097603e8280898fcda4355639fb07fcf6f7d4532847d764e8a713a1"
 
 
 def _verdict_batches():
@@ -805,7 +774,7 @@ def _verdict_batches():
 
     Per system and seed: an ideal-mode function and the boundary of a
     module-mode expression, every ordered pair of a point pool (linked or
-    not, with and without a depth cap), random linked pairs, and the
+    not), random linked pairs, and the
     modification certificate at the pool and at six gap successors.
     """
     for sys in SEARCH_SYSTEMS:
@@ -815,8 +784,7 @@ def _verdict_batches():
             for bf in (f, g):
                 for x in pool:
                     for y in pool:
-                        for cap in (None, 2):
-                            yield sigma_member(sys, bf, x, y, depth_cap=cap)
+                        yield sigma_member(sys, bf, x, y)
                 for x, y in pairs:
                     yield sigma_member(sys, bf, x, y)
                 for y in pool + [suc(sys, gap_point(sys, n)) for n in range(1, 7)]:
@@ -831,7 +799,7 @@ class TestVerdictGolden:
             digest.update(f"{v.kind}@{v.level};".encode())
             kinds[v.kind] += 1
         assert digest.hexdigest() == VERDICT_DIGEST
-        assert sum(kinds.values()) == 12014 and set(kinds) == {"yes", "no", "unknown"}
+        assert kinds == {"no": 5717, "yes": 1977} and set(kinds) == {"yes", "no"}
 
     def test_out_of_range_hand_built_points(self):
         # (1|2, 3|2) on ;2 is linked, so its first check reads the bad
@@ -1239,11 +1207,7 @@ class TestSearchDataMemo:
                 f, pool, _ = _search_cases(sys, seed)
                 _, pre, per = boundary._search_data(sys, f)
                 for x in pool:
-                    _, data = _scan_levels(sys, f, x, x, Strictness.NONSTRICT, 0)
-                    pts = [x] + [p for ival, leaf in f.pieces for p in
-                                 (ival.lo, ival.hi) + ((leaf.value,) if isinstance(leaf, Const)
-                                                       else ())]
-                    period = lcm(sys.cycle_len, *(len(p.period) for p in pts))
+                    data, period = _scan_span(sys, f, x, x)
                     assert boundary._level_bounds(sys, f, x, x) == (data, data + 2 * period)
                     assert max(pre, len(x.preamble)) == data
 

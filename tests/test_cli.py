@@ -171,7 +171,8 @@ ERROR_CASES += [(_PRELUDE + statement, 5, col, message) for statement, col, mess
     ("member S a expect yes", 11, "expected a point"),
     ("member zz a a expect yes", 8, "unknown ideal expression 'zz'"),
     ("member S a a a expect yes", 14, "unexpected 'a'"),
-    ("member S a a expect maybe", 21, "expected one of yes, no, unknown"),
+    ("member S a a expect maybe", 21, "expected 'yes' or 'no'"),
+    ("member S a a expect unknown", 21, "expected 'yes' or 'no'"),
     ("boundary expect f", 9, "expected an ideal name"),
     ("boundary zz expect f", 10, "unknown ideal expression 'zz'"),
     ("boundary S S expect f", 12, "unexpected 'S'"),
@@ -193,7 +194,8 @@ ERROR_CASES += [(_PRELUDE + statement, 5, col, message) for statement, col, mess
     ("sandwich S expect yes", 11, "expected a function name"),
     ("sandwich zz f expect yes", 10, "unknown ideal expression 'zz'"),
     ("sandwich S f f expect yes", 14, "unexpected 'f'"),
-    ("sandwich S f expect maybe", 21, "expected one of yes, no, unknown"),
+    ("sandwich S f expect maybe", 21, "expected 'yes' or 'no'"),
+    ("sandwich S f expect unknown", 21, "expected 'yes' or 'no'"),
     ("suite expect ok", 6, "expected a suite name"),
     ("suite nope expect ok", 7, "unknown suite 'nope'"),
     ("suite prop1 prop1 expect ok", 13, "unexpected 'prop1'"),
@@ -437,7 +439,7 @@ class TestCLI:
     # fixture only prints, so argparse refuses every shared flag before
     # any output; paper-examples takes them
     @pytest.mark.parametrize("flag, value", [
-        ("--seed", "0"), ("--budget", "1"), ("--depth-cap", "5"), ("--json", "PATH"),
+        ("--seed", "0"), ("--budget", "1"), ("--json", "PATH"),
         ("--run", None),
     ])
     def test_fixture_print_refuses_run_flags(self, tmp_path, capsys, flag, value):
@@ -535,23 +537,6 @@ class TestCLI:
         # every literal is read before any work: no suite ran
         assert out == ""
 
-    # a negative cap is refused before any work, with the flag named; caps
-    # from 0 up still answer
-    @pytest.mark.parametrize("value", ["-1", "-7"])
-    def test_negative_depth_cap_is_refused(self, tmp_path, capsys, value):
-        path = tmp_path / "hull.scn"
-        path.write_text("system ;2\nbf f = identity\nideal H = hull f\n"
-                        "member H 1|2 2|2 expect yes\n")
-        json_path = tmp_path / "out.json"
-        for argv in (["run", str(path)], ["paper-examples", "trivial"]):
-            assert main(argv + ["--depth-cap", value, "--json", str(json_path)]) == 2
-            out, err = capsys.readouterr()
-            assert err == f"error: --depth-cap must be at least 0, got {value}\n"
-            assert out == "" and not json_path.exists()
-        assert main(["run", str(path), "--depth-cap", "0"]) == 1
-        assert "[unknown]" in capsys.readouterr().out
-        assert main(["run", str(path), "--depth-cap", "1"]) == 0
-
     # every fixture declares its system, so only run and suite take --system
     @pytest.mark.parametrize("argv", [
         ["fixture", "trivial", "--system", "3,y;2"],
@@ -565,11 +550,17 @@ class TestCLI:
         assert f"unrecognized arguments: --system {argv[-1]}" in err
         assert out == ""
 
-    # suites run no membership query with a cap, so suite refuses the cap
-    def test_suite_refuses_depth_cap(self, tmp_path, capsys):
-        path = tmp_path / "suite.json"
+    # every membership verdict is exact, so no command takes a depth cap
+    @pytest.mark.parametrize("argv", [
+        ["run", "SCENARIO"], ["suite", "prop1"], ["paper-examples", "trivial"],
+    ], ids=lambda argv: argv[0])
+    def test_depth_cap_is_refused(self, tmp_path, capsys, argv):
+        scenario = tmp_path / "ok.scn"
+        scenario.write_text("system ;2\nbf f = identity\neval f |2 expect |2\n")
+        path = tmp_path / "out.json"
+        argv = [str(scenario) if a == "SCENARIO" else a for a in argv]
         with pytest.raises(SystemExit) as refusal:
-            main(["suite", "prop1", "--depth-cap", "3", "--json", str(path)])
+            main(argv + ["--depth-cap", "3", "--json", str(path)])
         assert refusal.value.code == 2
         out, err = capsys.readouterr()
         assert "unrecognized arguments: --depth-cap 3" in err
@@ -612,6 +603,26 @@ class TestCLI:
         capsys.readouterr()
         data = json.loads(path.read_text())  # replaced, not appended to
         assert data["exit"] == 0 and len(data["commands"]) == 2
+
+    # a run that exits 2 leaves the --json path as it found it: absent if
+    # it was absent, byte for byte if it was there
+    @pytest.mark.parametrize("earlier", [None, b"{\"exit\": 0}\n", b""],
+                             ids=["absent", "earlier", "empty"])
+    @pytest.mark.parametrize("scenario", ["digit", "missing"])
+    def test_failed_run_leaves_the_json_path_as_found(self, tmp_path, capsys,
+                                                      earlier, scenario):
+        source = tmp_path / "bad.scn"
+        if scenario == "digit":
+            source.write_text("system ;2\npoint a = |3\n")
+        path = tmp_path / "new.json"
+        if earlier is not None:
+            path.write_bytes(earlier)
+        assert main(["run", str(source), "--json", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        if earlier is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == earlier
 
     def test_paper_examples_json(self, tmp_path, capsys):
         path = tmp_path / "pe.json"

@@ -22,6 +22,7 @@ from refbound.boundary import (
     format_bf,
     identity_bf,
     normalize_bf,
+    verdict_yes,
 )
 from refbound.order import (
     OrderInterval,
@@ -208,27 +209,20 @@ class TestSubLevelSets:
         assert member(BIN, OfBFOpen(phi), x, self.b).is_yes
         assert member(BIN, OfBFClosed(phi), x, self.b).is_yes
 
-    def test_depth_cap_gives_unknown(self):
-        psi = boundary_of(BIN, StripPlus(pt("2|1"), pt("22|1")))
-        x, y = pt("2|1"), pt("22|1")
-        capped = member(BIN, OfBFClosed(psi), x, y, depth_cap=1)
-        assert capped.is_unknown
-        full = member(BIN, OfBFClosed(psi), x, y)
-        assert full.is_yes and full.level == 2
-
-    def test_depth_capped_parts_keep_the_unknown(self):
-        # a capped hull part answers unknown at the cap; a union or an
-        # intersection with no deciding part passes that unknown on
+    def test_union_and_intersection_of_hull_parts(self):
+        # a union answers its first yes, otherwise no; an intersection its
+        # first no, otherwise yes at its parts' largest level
         f = identity_bf(BIN)
         hull, x, y = OfBFClosed(f), pt("1|2"), pt("2|2")
-        unknown = member(BIN, hull, x, y, depth_cap=0)
-        assert unknown.is_unknown and unknown.level == 0
+        deep = member(BIN, hull, x, y)
+        assert deep == verdict_yes(1)
         for expr in (union(Empty(), hull), union(hull, hull),
                      intersection(Full(), hull), intersection(OfBFOpen(f), hull)):
-            assert member(BIN, expr, x, y, depth_cap=0) == unknown
-        assert member(BIN, union(hull, OfBFOpen(f)), x, y, depth_cap=0).is_yes
-        assert member(BIN, intersection(hull, Empty()), x, y, depth_cap=0).is_no
-        assert member(BIN, intersection(Full(), hull), x, y, depth_cap=1).is_yes
+            assert member(BIN, expr, x, y) == deep
+        assert member(BIN, union(OfBFOpen(f), hull), x, y) == verdict_yes(0)
+        assert member(BIN, intersection(hull, Empty()), x, y).is_no
+        assert member(BIN, union(Empty(), OfBFOpen(f)), x, x).is_no
+        assert member(BIN, union(Empty(), OfBFOpen(f), hull), x, x) == verdict_yes(0)
 
     def test_a_hull_query_tests_linkage_once(self, monkeypatch):
         # a hull of the expression's mode is linked by sigma_member alone; a
