@@ -16,7 +16,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, lcm
+from math import inf
 from typing import Optional, Sequence
 
 from .order import (
@@ -25,7 +25,6 @@ from .order import (
     Point,
     RefinementError,
     RefinementSystem,
-    check_digits,
     compare_beyond,
     construct_between_no_gap_below,
     cylinder_bounds,
@@ -429,16 +428,16 @@ def bf_minus(sys: RefinementSystem, f: PiecewiseBF) -> PiecewiseBF:
 # and the function, so it is built once per (system, function) and kept in
 # a table like bf_minus's; errors are never stored.
 @lru_cache(maxsize=4096)
-def _search_data(sys: RefinementSystem, bf: PiecewiseBF) -> tuple[tuple, int, int]:
-    """(closed pieces, longest preamble, period lcm) of the function.
+def _search_data(sys: RefinementSystem, bf: PiecewiseBF) -> tuple[tuple, int]:
+    """(closed pieces, longest preamble) of the function.
 
     Each closed piece is (lo, lo_open, hi, hi_open, leaf) with every open
     end that has a gap on its open side closed onto its neighbour; pieces
-    whose closed ends cross are left out.  The preamble and the lcm run
-    over the system and the points every piece is built from.
+    whose closed ends cross are left out.  The preamble runs over the
+    system and the points every piece is built from.
     """
     closed = []
-    pre, per = sys.prefix_len, sys.cycle_len
+    pre = sys.prefix_len
     for ival, leaf in bf.pieces:
         lo, lo_open, hi, hi_open = ival.lo, ival.lo_open, ival.hi, ival.hi_open
         if lo_open and has_gap_above(sys, lo):
@@ -450,8 +449,7 @@ def _search_data(sys: RefinementSystem, bf: PiecewiseBF) -> tuple[tuple, int, in
             closed.append((lo, lo_open, hi, hi_open, leaf))
         for pt in (ival.lo, ival.hi) + ((leaf.value,) if isinstance(leaf, Const) else ()):
             pre = max(pre, len(pt.preamble))
-            per = lcm(per, len(pt.period))
-    return tuple(closed), pre, per
+    return tuple(closed), pre
 
 
 def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
@@ -464,15 +462,11 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
     Each piece meets the v-cylinder in a cell, decided on digit words
     without building points; only a left-limit leaf with u = v,
     nonstrict, lists the cell's points.  The pieces, their open ends
-    closed across gaps, come from _search_data.  v is range-checked on
-    every call, u where a constant leaf reads it (DigitRangeError).
+    closed across gaps, come from _search_data.  u and v are words of one
+    length read off points or level words: no digit is range-checked.
     """
     u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        raise ValueError("cylinder words must have one length")
     n = len(v)
-    ks = sys.k_word(n)
-    check_digits(v, ks)
     for lo, lo_open, hi, hi_open, leaf in _search_data(sys, bf)[0]:
         hw = hi.word(n)
         if hw < v:
@@ -504,7 +498,6 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
             target = leaf.value
             if strictness is Strictness.RAISED:
                 target = plus_point(sys, target)
-            check_digits(u, ks)
             head = target.word(n)
             if u != head:
                 if u > head:
@@ -518,20 +511,6 @@ def cylinder_within_eta(sys: RefinementSystem, bf: PiecewiseBF,
     return True
 
 
-def _level_bounds(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point) -> tuple[int, int]:
-    """(data level, scan bound) of a level search on the pair (x, y).
-
-    The data level D is the longest preamble among the system, x, y and
-    the points the function is built from, and P the lcm of all their
-    periods; every first difference among them lies at or before the
-    bound D + 2P.  The function's share comes from _search_data.
-    """
-    _, pre, per = _search_data(sys, bf)
-    pre = max(pre, len(x.preamble), len(y.preamble))
-    per = lcm(per, len(x.period), len(y.period))
-    return pre, pre + 2 * per
-
-
 def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
                  strictness: Strictness) -> Verdict:
     """Least level m >= merge_level(x, y) whose matched-tail cylinder passes.
@@ -539,31 +518,25 @@ def _least_level(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point,
     x and y share digit m + 1, so the level m + 1 cylinder pairs are a
     subset of the level m ones, piece by piece: a piece that passes at
     some level passes at every deeper one.  The merge level is checked,
-    then every level up to the data level D, where most answers lie.
-    Past D the least level is the largest of the pieces' own least
-    levels (_piece_level), after one range check of x and y over D + P
-    digits (DigitRangeError).  The verdict is the one a scan of every
-    level up to the bound would give.  strictness is NONSTRICT or RAISED.
+    then every level up to the data level D (the longest preamble among
+    the system, x, y and the function's points), where most answers lie.
+    Past D the least level is the largest of the pieces' own least levels
+    (_piece_level), no if one is inf.  The verdict is the one a scan of
+    every level would give.  strictness is NONSTRICT or RAISED.
     """
     start = merge_level(x, y)
     if cylinder_within_eta(sys, bf, x.word(start), y.word(start), strictness):
         return verdict_yes(start)
-    data, bound = _level_bounds(sys, bf, x, y)
-    low = max(start, data)  # the deepest level checked
-    xw, yw = x.word(low), y.word(low)
-    for m in range(start + 1, low + 1):
+    pieces, pre = _search_data(sys, bf)
+    data = max(pre, len(x.preamble), len(y.preamble))
+    xw, yw = x.word(data), y.word(data)
+    for m in range(start + 1, data + 1):
         if cylinder_within_eta(sys, bf, xw[:m], yw[:m], strictness):
             return verdict_yes(m)
-    if low >= bound:
-        return VERDICT_NO
-    n = data + lcm(len(x.period), len(y.period), sys.cycle_len)
-    ks = sys.k_word(n)
-    check_digits(x.word(n), ks)
-    check_digits(y.word(n), ks)
-    level = low
-    for piece in _search_data(sys, bf)[0]:
+    level = data
+    for piece in pieces:
         level = max(level, _piece_level(sys, piece, x, y, xw, yw, strictness))
-        if level > bound:
+        if level == inf:
             return VERDICT_NO
     return verdict_yes(level)
 
@@ -627,10 +600,10 @@ def sigma_member(sys: RefinementSystem, bf: PiecewiseBF, x: Point, y: Point) -> 
     subset of the one at level m (x and y agree beyond merge_level), so
     the test is monotone in m, piece by piece, and the least passing
     level is searched for rather than scanned to.  With p pieces, merge
-    level s, data level D and period lcm P, a query costs the checks of
-    levels s to D (each O(p D) digit reads), then one pass over the
-    pieces: O(p) first differences and a range check over D + P digits.
-    No level past D is checked.
+    level s and data level D, a query costs the checks of levels s to D
+    (each O(p D) digit reads), then one pass over the pieces: O(p) first
+    differences.  No level past D is checked, and no digit is
+    range-checked: point() checked them.
     """
     if not linked(bf.mode, x, y):
         return VERDICT_NO
@@ -675,7 +648,7 @@ def modification_certificate(sys: RefinementSystem, bf: PiecewiseBF, y: Point) -
     the least witnessing level m; its cylinder words are the first m
     digits of suc phi(y) and of y.  As in sigma_member, deeper cylinders
     are subsets of shallower ones, piece by piece, so the least
-    witnessing level is searched for at the cost sigma_member states.
+    witnessing level is searched for at sigma_member's cost.
     """
     if not has_gap_below(sys, y):
         return VERDICT_NO

@@ -207,8 +207,10 @@ class Point:
     the minimal eventual period and the system's cycle length, and the
     preamble is as short as possible.  Build through point() which
     canonicalizes and interns; two canonical points are equal iff their
-    digit strings are.  word(n) gives the first n digits as one tuple,
-    which is how the order primitives below read them.
+    digit strings are.  point() range-checks the digits, once: nothing
+    checks them again, so a Point(...) built by hand must keep them in
+    range.  word(n) gives the first n digits as one tuple, which is how
+    the order primitives below read them.
 
     Two fields are set once at construction and take no part in ==,
     hash or repr.  head is the first max(HEAD_LEN, len(preamble) +

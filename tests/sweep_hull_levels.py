@@ -1,9 +1,10 @@
 """Sweep the hull search against a scan of every level.
 
 Runs sigma_member and modification_certificate over seeds 14-61 on the
-level-search systems plus ;2,3,5 and 12;2,13, and on the 7-11-13 and
-4-7-9 coprime plateaus of ;2 (the queries of test_boundary's
-_level_queries), and compares each verdict and level with the
+level-search systems plus ;2,3,5 and 12;2,13, and on the plateaus of
+;2: the 7-11-13 and 4-7-9 coprime ones and one with preambles of about
+200 digits (the queries of test_boundary's _level_queries), and
+compares each verdict and level with the
 level-by-level reference _scan_levels.  Prints one line per system and
 every mismatch, and exits 1 on any mismatch.
 

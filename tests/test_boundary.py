@@ -552,10 +552,17 @@ def _search_cases(sys, seed):
     return f, pool, pairs
 
 
-# coprime-period plateaus of phi_ab on ;2: (a, b, x) with phi(x) = a < x
+def _long_plateau(rng):
+    # a < x < b with preambles of about 200 digits, all of period 12
+    a, x, b = sorted("".join(rng.choice("12") for _ in range(200)) for _ in range(3))
+    return a + "|12", b + "|12", x + "|12"
+
+
+# plateaus of phi_ab on ;2: (a, b, x) with phi(x) = a < x
 PLATEAUS = [
     ("1|1111112", "2|12111111112", "21|1211111111112"),  # periods 7, 11, 13
     ("1|1112", "2|1211112", "21|121111112"),  # periods 4, 7, 9
+    _long_plateau(random.Random(23)),  # a data level of about 200
 ]
 
 
@@ -667,7 +674,8 @@ class TestLevelSearch:
         # periods 7, 11 and 13 put the scan bound at 2 + 2 * 1001 levels
         f = construct_family(BIN, "phi_ab", a=pt("1|1111112"), b=pt("2|12111111112"))
         x = pt("21|1211111111112")
-        data, bound = boundary._level_bounds(BIN, f, x, x)
+        data, period = _scan_span(BIN, f, x, x)
+        bound = data + 2 * period
         assert bound == 2 + 2 * 1001
         calls = count_checks(monkeypatch)
         words = count_words(monkeypatch)
@@ -686,14 +694,14 @@ class TestLevelSearch:
         assert words and max(words) < bound
         assert points == []
 
-    @pytest.mark.parametrize("a, b, x", PLATEAUS, ids=["7-11-13", "4-7-9"])
+    @pytest.mark.parametrize("a, b, x", PLATEAUS, ids=["7-11-13", "4-7-9", "long"])
     def test_plateau_no_takes_the_data_scan_only(self, monkeypatch, a, b, x):
         f = construct_family(BIN, "phi_ab", a=pt(a), b=pt(b))
         x = pt(x)
         want, data = _scan_levels(BIN, f, x, x, Strictness.NONSTRICT)
         assert want.is_no
         start = merge_level(x, x)
-        bound = boundary._level_bounds(BIN, f, x, x)[1]
+        bound = data + 2 * _scan_span(BIN, f, x, x)[1]
         calls = count_checks(monkeypatch)
         words = count_words(monkeypatch)
         assert sigma_member(BIN, f, x, x).is_no
@@ -716,7 +724,7 @@ class TestLevelSearch:
                     low = max(start, data) + 1
                     if want.is_yes and want.level < low:
                         continue
-                    _, bound = boundary._level_bounds(sys, f, x, y)
+                    bound = data + 2 * _scan_span(sys, f, x, y)[1]
                     calls = count_checks(monkeypatch)
                     words = count_words(monkeypatch)
                     got = sigma_member(sys, f, x, y)
@@ -738,8 +746,8 @@ class TestLevelSearch:
         queries = itertools.chain(_level_queries(), *map(_one_piece_queries, SEARCH_SYSTEMS))
         for sys, bf, x, y, strictness in queries:
             start = merge_level(x, y)
-            data, bound = boundary._level_bounds(sys, bf, x, y)
-            low, bound = max(start, data), max(start, bound)
+            data, period = _scan_span(sys, bf, x, y)
+            low, bound = max(start, data), max(start, data + 2 * period)
             firsts = []
             for piece in real(sys, bf)[0]:
                 one[:] = [piece]
@@ -801,28 +809,6 @@ class TestVerdictGolden:
         assert digest.hexdigest() == VERDICT_DIGEST
         assert kinds == {"no": 5717, "yes": 1977} and set(kinds) == {"yes", "no"}
 
-    def test_out_of_range_hand_built_points(self):
-        # (1|2, 3|2) on ;2 is linked, so its first check reads the bad
-        # digit; the reversed pair is not linked and answers no unread
-        f = identity_bf(BIN)
-        a, b = Point((1,), (2,)), Point((3,), (2,))
-        with pytest.raises(DigitRangeError, match=r"^digit 3 at position 1 outside 1\.\.2$"):
-            sigma_member(BIN, f, a, b)
-        assert sigma_member(BIN, f, b, a) == Verdict("no")
-
-    @pytest.mark.parametrize("a, b, x", PLATEAUS, ids=["7-11-13", "4-7-9"])
-    def test_digits_past_the_data_level_are_read(self, a, b, x):
-        # a bad digit at the end of the period, past every level the data
-        # scan checks, still raises once the search goes past the data level
-        f = construct_family(BIN, "phi_ab", a=pt(a), b=pt(b))
-        x = pt(x)
-        bad = Point(x.preamble, x.period[:-1] + (3,))
-        data, _ = boundary._level_bounds(BIN, f, bad, bad)
-        n = len(x.preamble) + len(x.period)
-        assert n > data and sigma_member(BIN, f, x, x).is_no
-        with pytest.raises(DigitRangeError, match=f"^digit 3 at position {n} outside"):
-            sigma_member(BIN, f, bad, bad)
-
 
 # ---------------------------------------------------------------------------
 # the word-based linkage test against the point-based one
@@ -881,13 +867,6 @@ def _raw_spellings(sys, f):
     return f, PiecewiseBF(tuple(opened), f.mode), PiecewiseBF(tuple(swapped), f.mode)
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except DigitRangeError as e:
-        return ("DigitRangeError", str(e))
-
-
 class TestWordLinkage:
     def test_matches_point_based_reference(self):
         seen = Counter()
@@ -911,19 +890,12 @@ class TestWordLinkage:
                                 v = rng.choice((ival.lo, ival.hi)).word(n)
                                 u = leaf.value.word(n) \
                                     if isinstance(leaf, Const) and rng.random() < 0.7 else v
-                            if n and rng.random() < 0.2:
-                                # a digit outside 1..k_i in u or in v
-                                i = rng.randrange(n)
-                                bad = rng.choice((0, sys.k_at(i + 1) + 1))
-                                w = (u, v)[rng.randrange(2)]
-                                w = w[:i] + (bad,) + w[i + 1:]
-                                u, v = (w, v) if rng.random() < 0.5 else (u, w)
                             for st in Strictness:
-                                got = _outcome(cylinder_within_eta, sys, g, u, v, st)
-                                want = _outcome(_cylinder_by_points, sys, g, u, v, st)
+                                got = cylinder_within_eta(sys, g, u, v, st)
+                                want = _cylinder_by_points(sys, g, u, v, st)
                                 assert got == want, (format_system(sys), g, u, v, st)
-                                seen[got if isinstance(got, bool) else "error"] += 1
-        assert all(seen[k] > 0 for k in (True, False, "error"))
+                                seen[got] += 1
+        assert seen[True] > 0 and seen[False] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1177,7 +1149,7 @@ class TestMemo:
 
 
 class TestSearchDataMemo:
-    """Each function's closed pieces and span, built once per (system, function)."""
+    """Each function's closed pieces and longest preamble, built once per (system, function)."""
 
     @pytest.mark.parametrize("sys", SEARCH_SYSTEMS, ids=format_system)
     def test_cold_and_warm_tables_give_equal_results(self, sys):
@@ -1205,11 +1177,9 @@ class TestSearchDataMemo:
         for sys in SEARCH_SYSTEMS:
             for seed in range(14, 22):
                 f, pool, _ = _search_cases(sys, seed)
-                _, pre, per = boundary._search_data(sys, f)
+                _, pre = boundary._search_data(sys, f)
                 for x in pool:
-                    data, period = _scan_span(sys, f, x, x)
-                    assert boundary._level_bounds(sys, f, x, x) == (data, data + 2 * period)
-                    assert max(pre, len(x.preamble)) == data
+                    assert max(pre, len(x.preamble)) == _scan_span(sys, f, x, x)[0]
 
     def test_a_repeat_returns_the_same_object(self):
         f = strip_bf(pt("2|1"), pt("21|2"))
@@ -1221,8 +1191,8 @@ class TestSearchDataMemo:
             (LO, False, pt("1|2"), False),
             (pt("2|1"), False, pt("21|2"), False),
             (pt("22|1"), False, HI, False)]
-        # the longest preamble, 21|2's, and the period lcm
-        assert got[1:] == (2, 1)
+        # the longest preamble, 21|2's
+        assert got[1] == 2
 
     def test_table_stays_within_its_bound(self):
         table = boundary._search_data

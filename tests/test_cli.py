@@ -24,7 +24,7 @@ from refbound.fixtures import (
 )
 from refbound.oracle import random_bf
 from refbound.irreducibility import construct_family
-from refbound.order import parse_point, parse_system
+from refbound.order import DigitRangeError, parse_point, parse_system
 from refbound.scenario import ScenarioError, run_scenario, run_scenario_text
 
 BIN = parse_system(";2")
@@ -57,6 +57,13 @@ class TestBFLiterals:
     ])
     def test_grammar_errors(self, bad):
         with pytest.raises(ValueError):
+            parse_bf(BIN, bad)
+
+    # point() is the only digit check, so parse_bf's points must pass it
+    @pytest.mark.parametrize("bad", ["[|1, |3] -> id", "[|1, |2] -> const(|3)"])
+    def test_out_of_range_digit_names_the_point_literal(self, bad):
+        with pytest.raises(DigitRangeError,
+                           match=r"^point literal '\|3': digit 3 at position 1 outside 1\.\.2$"):
             parse_bf(BIN, bad)
 
     def test_law_violation_raises(self):
