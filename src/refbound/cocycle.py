@@ -26,6 +26,13 @@ the geometric run 2^-offset - 2^-end with end = offset + that count,
 clipped at the enclosure depth D.  Only the levels whose block starts
 before index D contribute, and there are at most log2(D) + 1 of them.
 Summed in units of 2^-D, the whole gap term is one integer.
+
+A gap pair is decided in closed form.  A mixed-radix value has at most
+two expansions, so equal btilde with x != y is exactly a gap pair, and
+its lower point is the one with a gap above.  The upper point's gap sum
+counts the lower point, a gap point; the lower point's does not count
+itself, and no gap point lies between them.  So the two embedding
+values differ by exactly 2^-n, n the gap index of the lower point.
 """
 
 from __future__ import annotations
@@ -170,14 +177,11 @@ def order_by_cocycle(sys: RefinementSystem, x: Point, y: Point) -> int:
     The embedding is btilde plus the gap terms.  btilde is monotone, so
     unequal btilde values decide the order at once; each point's btilde
     is computed once, as an integer fraction.  Equal btilde values with
-    x != y mark a gap pair.  Their enclosures [b + g/2^D, b + (g+1)/2^D]
-    share b, so they compare as the integers g in units of 2^-D, and
-    they are shrunk until they separate.  That terminates because the
-    gap terms push the pair apart by exactly 2^-n.  Doubling D (squaring
-    the width) each round separates a gap pair at index n after about
-    log2(n) rounds.  The minimum point never reaches the rounds: its
-    btilde is 0 and every other point's is positive.  No digit
-    comparison is made.
+    x != y mark a gap pair, whose embedding values differ by exactly
+    2^-n, n the gap index of its lower point, the one with a gap above
+    (see the module docstring).  So one gap test on x decides it, with
+    no comparison between the two points' digits and no enclosure of
+    the gap terms, whatever n is.
     """
     if x == y:
         return 0
@@ -185,11 +189,4 @@ def order_by_cocycle(sys: RefinementSystem, x: Point, y: Point) -> int:
     lhs, rhs = nx * dy, ny * dx
     if lhs != rhs:
         return -1 if lhs < rhs else 1
-    depth = 2
-    while True:
-        gx, gy = _gap_units(sys, x, depth), _gap_units(sys, y, depth)
-        if gx + 1 < gy:
-            return -1
-        if gy + 1 < gx:
-            return 1
-        depth *= 2
+    return -1 if has_gap_above(sys, x) else 1

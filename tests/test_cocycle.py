@@ -203,21 +203,17 @@ class TestClosedForm:
                 for eps in widths:
                     assert b_approx(sys, x, eps) == _b_approx_by_gap_points(sys, x, eps)
 
-    def test_deep_gap_pair_needs_few_enclosures(self, monkeypatch):
-        g = gap_point(BIN, 1024)  # the first gap point of level 11
-        s = suc(BIN, g)
-        calls = []
-        real = cocycle._gap_units
+    def test_deep_gap_pair_needs_no_enclosure(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a gap pair must be decided without gap sums")
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(cocycle, "_gap_units", counted)
-        for x, y in ((g, s), (s, g)):
-            calls.clear()
-            assert order_by_cocycle(BIN, x, y) == order_compare(x, y)
-            assert len(calls) <= 30
+        monkeypatch.setattr(cocycle, "_gap_units", refuse)
+        for sys in (BIN, parse_system(";2,3,5")):
+            for n in (2 ** 10, 2 ** 28, 2 ** 60):
+                g = gap_point(sys, n)
+                s = suc(sys, g)
+                assert order_by_cocycle(sys, g, s) == order_compare(g, s) == -1
+                assert order_by_cocycle(sys, s, g) == order_compare(s, g) == 1
 
 
 def _gap_pairs_by_level(sys, top_level=11, max_index=4096):
@@ -254,6 +250,16 @@ class TestIntegerForm:
                 if last is not None:
                     assert last[0] <= lo <= hi <= last[1]
                 last = (lo, hi)
+
+    @pytest.mark.parametrize("lit", SYSTEMS)
+    def test_gap_pair_embeddings_differ_by_the_gap_term(self, lit):
+        # the identity order_by_cocycle decides a gap pair by, read off the
+        # lower ends of enclosures of width 2^-n and 2^-(n+3)
+        sys = parse_system(lit)
+        for g, s in _gap_pairs_by_level(sys):
+            n = gap_index(sys, g)
+            for eps in (Fraction(1, 2 ** n), Fraction(1, 2 ** (n + 3))):
+                assert b_approx(sys, s, eps)[0] - b_approx(sys, g, eps)[0] == Fraction(1, 2 ** n)
 
     @pytest.mark.parametrize("lit", SYSTEMS)
     def test_order_matches_digit_order(self, lit):
